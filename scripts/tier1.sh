@@ -134,8 +134,8 @@ cmake --build build-asan -j "$jobs" --target robustness_test \
 
 # TSan pass over the concurrent paths: the supervised worker pool
 # (--jobs=4 equality tests included), the shared governor, the shared
-# term interner the pool hammers from every worker, and the serial
-# pipeline it must keep matching.
+# term interner the pool hammers from every worker, and the inline run
+# it must keep matching.
 cmake -B build-tsan -S . -DSEMAP_SANITIZE=THREAD -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j "$jobs" --target supervisor_test \
   resilient_pipeline_test util_test provenance_test serve_test interner_test

@@ -207,11 +207,7 @@ std::string SerializeCheckpointUnit(const CheckpointedUnit& unit) {
     EmitCq(m.tgd.target, &out);
     out += "}}";
   }
-  out += "]";
-  if (unit.has_provenance) {
-    out += ",\"prov\":" + obs::TableProvenanceToJson(unit.provenance);
-  }
-  out += "}";
+  out += "],\"prov\":" + obs::TableProvenanceToJson(unit.provenance) + "}";
   // Trailing integrity member: CRC32 of the line as it stands (i.e. of
   // the line with the crc member removed). Catches the
   // truncated-but-still-valid-JSON tails a plain parse cannot.
@@ -308,12 +304,13 @@ Result<CheckpointedUnit> ParseCheckpointUnit(const std::string& line) {
     }
   }
   unit.outcome.mappings = unit.mappings.size();
-  if (const json::Value* prov = doc->Find("prov"); prov != nullptr) {
-    auto provenance = obs::TableProvenanceFromJson(*prov);
-    if (!provenance.ok()) return provenance.status();
-    unit.provenance = std::move(*provenance);
-    unit.has_provenance = true;
+  const json::Value* prov = doc->Find("prov");
+  if (prov == nullptr) {
+    return Status::ParseError("checkpoint: unit record lacks provenance");
   }
+  auto provenance = obs::TableProvenanceFromJson(*prov);
+  if (!provenance.ok()) return provenance.status();
+  unit.provenance = std::move(*provenance);
   return unit;
 }
 

@@ -1,10 +1,11 @@
-// Crash-safe checkpoint journal for supervised runs.
+// Crash-safe checkpoint journal for resilient runs.
 //
 // Discovery over many target tables is a batch job; a mid-run crash or
-// kill must not lose the tables already finished. The supervisor stores
-// one record per completed work unit — the table's cascade outcome, its
-// raw (pre-merge) mappings and its provenance, fully serialized as a
-// semap.checkpoint.v1 unit line — in a store::MappingStore, whose
+// kill must not lose the tables already finished. RunResilientPipeline
+// stores one record per completed work unit — the table's cascade
+// outcome, its raw (pre-merge) mappings and its provenance, fully
+// serialized as a semap.checkpoint.v1 unit line — in a
+// store::MappingStore, whose
 // semap.journal.v1 container makes every append an fsynced,
 // CRC32-framed record (store/journal.h). A run restarted with
 // --resume=<journal> replays the store, skips the finished tables, and
@@ -41,17 +42,14 @@ inline constexpr const char kCheckpointSchema[] = "semap.checkpoint.v1";
 
 /// \brief One journaled work unit: a finished table's outcome, raw
 /// mappings (pre-merge — dedup against other tables happens at
-/// assembly, so resume reproduces the exact serial merge), and the
+/// assembly, so resume reproduces the exact merge), and the
 /// unit's provenance so a resumed --explain matches an uninterrupted
 /// run's byte-for-byte.
 struct CheckpointedUnit {
   TableOutcome outcome;
   std::vector<ResilientMapping> mappings;
-  /// Pre-merge provenance captured at unit completion; absent on units
-  /// read from journals written before provenance was journaled (the
-  /// resume then falls back to reconstructed origin-"checkpoint"
-  /// derivations).
-  bool has_provenance = false;
+  /// Pre-merge provenance captured at unit completion; every unit line
+  /// carries it.
   obs::TableProvenance provenance;
 };
 
@@ -63,8 +61,9 @@ uint64_t ScenarioFingerprint(
     const std::vector<disc::Correspondence>& correspondences);
 
 /// Serialize / parse one semap.checkpoint.v1 unit line (also used by
-/// tests to pin the format). Serialization always appends the "crc"
-/// member; parsing requires it and validates it.
+/// tests to pin the format). Serialization always writes the "prov"
+/// member and appends the "crc" member; parsing requires both and
+/// validates the crc.
 std::string SerializeCheckpointUnit(const CheckpointedUnit& unit);
 Result<CheckpointedUnit> ParseCheckpointUnit(const std::string& line);
 

@@ -99,6 +99,48 @@ rew::SemanticMapperOptions RestrictSemantic(rew::SemanticMapperOptions opts) {
   return opts;
 }
 
+/// Record one tier attempt — counted as a governor trip when its governor
+/// tripped — in the provenance recorder and the event stream, classified
+/// as "ok" (mappings, perhaps partial), "exhausted" (none before the
+/// governor tripped), "empty" (a clean empty answer) or "error".
+template <typename Mappings>
+void RecordAttempt(const RunContext& ctx, const std::string& table,
+                   DegradationTier tier, size_t attempt,
+                   const Result<Mappings>& result,
+                   const ResourceGovernor& governor, int64_t start_ns) {
+  if (governor.exhausted()) ctx.Count("governor.trips");
+  const size_t mappings = result.ok() ? result->size() : 0;
+  const char* status = !result.ok()           ? "error"
+                       : mappings > 0         ? "ok"
+                       : governor.exhausted() ? "exhausted"
+                                              : "empty";
+  if (ctx.provenance != nullptr) {
+    obs::AttemptRecord record;
+    record.tier = TierName(tier);
+    record.attempt = attempt;
+    record.status = status;
+    record.mappings = mappings;
+    if (!result.ok()) {
+      record.detail = result.status().ToString();
+    } else if (mappings == 0) {
+      record.detail = governor.status().ToString();
+    } else if (governor.exhausted()) {
+      record.detail = "partial result, " + governor.status().ToString();
+    }
+    ctx.provenance->RecordAttempt(std::move(record));
+  }
+  if (ctx.events != nullptr) {
+    ctx.events->Emit("tier_end",
+                     obs::WideEvent()
+                         .Str("table", table)
+                         .Str("tier", TierName(tier))
+                         .Int("attempt", static_cast<int64_t>(attempt))
+                         .Str("status", status)
+                         .Int("mappings", static_cast<int64_t>(mappings))
+                         .Int("duration_ns", ctx.events->NowNs() - start_ns));
+  }
+}
+
 }  // namespace
 
 Result<PreparedRun> PrepareResilientRun(
@@ -254,47 +296,10 @@ TableWork RunTableCascade(const sem::AnnotatedSchema& source,
       map_req.correspondences = &group;
       map_req.options = sem_opts;
       auto mappings = rew::GenerateMappings(map_req, tier_ctx);
-      if (governor.exhausted()) ctx.Count("governor.trips");
       last_semantic_exhausted = governor.exhausted();
       tier_span.End();
-      if (ctx.provenance != nullptr) {
-        obs::AttemptRecord record;
-        record.tier = TierName(tier);
-        record.attempt = attempt + 1;
-        record.mappings = mappings.ok() ? mappings->size() : 0;
-        if (!mappings.ok()) {
-          record.status = "error";
-          record.detail = mappings.status().ToString();
-        } else if (!mappings->empty()) {
-          record.status = "ok";
-          if (governor.exhausted()) {
-            record.detail = "partial result, " + governor.status().ToString();
-          }
-        } else if (governor.exhausted()) {
-          record.status = "exhausted";
-          record.detail = governor.status().ToString();
-        } else {
-          record.status = "empty";
-          record.detail = governor.status().ToString();
-        }
-        ctx.provenance->RecordAttempt(std::move(record));
-      }
-      if (ctx.events != nullptr) {
-        ctx.events->Emit(
-            "tier_end",
-            obs::WideEvent()
-                .Str("table", table)
-                .Str("tier", TierName(tier))
-                .Int("attempt", static_cast<int64_t>(attempt + 1))
-                .Str("status", !mappings.ok()          ? "error"
-                               : !mappings->empty()    ? "ok"
-                               : governor.exhausted()  ? "exhausted"
-                                                       : "empty")
-                .Int("mappings",
-                     static_cast<int64_t>(mappings.ok() ? mappings->size()
-                                                        : 0))
-                .Int("duration_ns", ctx.events->NowNs() - tier_start_ns));
-      }
+      RecordAttempt(ctx, table, tier, attempt + 1, mappings, governor,
+                    tier_start_ns);
       if (ctx.sink != nullptr && tier == DegradationTier::kSemanticFull &&
           attempt == 0) {
         for (const Diagnostic& d : lift_sink.diagnostics()) {
@@ -361,42 +366,9 @@ TableWork RunTableCascade(const sem::AnnotatedSchema& source,
     auto ric =
         baseline::GenerateRicMappings(source.schema(), target.schema(), group,
                                       ric_opts, ctx.WithGovernor(&governor));
-    if (governor.exhausted()) ctx.Count("governor.trips");
     tier_span.End();
-    if (ctx.provenance != nullptr) {
-      obs::AttemptRecord record;
-      record.tier = TierName(DegradationTier::kRicBaseline);
-      record.attempt = 1;
-      record.mappings = ric.ok() ? ric->size() : 0;
-      if (!ric.ok()) {
-        record.status = "error";
-        record.detail = ric.status().ToString();
-      } else if (!ric->empty()) {
-        record.status = "ok";
-        if (governor.exhausted()) {
-          record.detail = "partial result, " + governor.status().ToString();
-        }
-      } else {
-        record.status = governor.exhausted() ? "exhausted" : "empty";
-        record.detail = governor.status().ToString();
-      }
-      ctx.provenance->RecordAttempt(std::move(record));
-    }
-    if (ctx.events != nullptr) {
-      ctx.events->Emit(
-          "tier_end",
-          obs::WideEvent()
-              .Str("table", table)
-              .Str("tier", TierName(DegradationTier::kRicBaseline))
-              .Int("attempt", 1)
-              .Str("status", !ric.ok()             ? "error"
-                             : !ric->empty()       ? "ok"
-                             : governor.exhausted() ? "exhausted"
-                                                    : "empty")
-              .Int("mappings",
-                   static_cast<int64_t>(ric.ok() ? ric->size() : 0))
-              .Int("duration_ns", ctx.events->NowNs() - tier_start_ns));
-    }
+    RecordAttempt(ctx, table, DegradationTier::kRicBaseline, 1, ric, governor,
+                  tier_start_ns);
     if (ric.ok() && !ric->empty()) {
       outcome.tier = DegradationTier::kRicBaseline;
       outcome.mappings = ric->size();
@@ -440,77 +412,6 @@ TableWork RunTableCascade(const sem::AnnotatedSchema& source,
                               ctx.events->NowNs() - cascade_start_ns));
   }
   return work;
-}
-
-Result<ResilientResult> RunResilientPipeline(
-    const sem::AnnotatedSchema& source, const sem::AnnotatedSchema& target,
-    const std::vector<disc::Correspondence>& correspondences,
-    const ResilientPipelineOptions& options, const RunContext& run_ctx) {
-  if (correspondences.empty()) {
-    return Status::InvalidArgument("no correspondences given");
-  }
-  // The cascade manufactures its own governor slices; a caller-provided
-  // governor is not part of this entry point's contract.
-  const RunContext ctx = run_ctx.WithGovernor(nullptr);
-
-  auto prepared =
-      PrepareResilientRun(source, target, correspondences, ctx);
-  if (!prepared.ok()) return prepared.status();
-
-  TableCascadeOptions cascade_opts;
-  cascade_opts.semantic = options.semantic;
-  cascade_opts.ric = options.ric;
-  cascade_opts.max_steps = options.max_steps;
-  cascade_opts.retries_per_tier = options.retries_per_tier;
-  if (options.fault_after >= 0) {
-    cascade_opts.fault_after = options.fault_after;
-  } else {
-    cascade_opts.fault_after = ResourceGovernor::FaultAfterFromEnv();
-  }
-  if (options.deadline_ms >= 0) {
-    cascade_opts.deadline =
-        Clock::now() + std::chrono::milliseconds(options.deadline_ms);
-  }
-
-  ResilientResult result;
-  result.report.quarantined_correspondences =
-      prepared->quarantined_correspondences;
-  result.report.tables = std::move(prepared->quarantined_tables);
-  if (ctx.provenance != nullptr) {
-    for (const TableOutcome& outcome : result.report.tables) {
-      ctx.provenance->RecordOutcome(outcome.target_table,
-                                    TierName(outcome.tier), outcome.notes);
-    }
-  }
-
-  MappingMerger merger(ctx);
-  ctx.Count("pipeline.tables", static_cast<int64_t>(prepared->groups.size()));
-  ctx.Count("pipeline.quarantined_correspondences",
-            static_cast<int64_t>(result.report.quarantined_correspondences));
-  for (const auto& [table, group] : prepared->groups) {
-    TableWork work =
-        RunTableCascade(source, target, table, group, cascade_opts, ctx);
-    if (auto it = prepared->quarantine_notes.find(table);
-        it != prepared->quarantine_notes.end()) {
-      work.outcome.notes.insert(work.outcome.notes.begin(),
-                                it->second.begin(), it->second.end());
-    }
-    if (ctx.provenance != nullptr) {
-      ctx.provenance->RecordOutcome(table, TierName(work.outcome.tier),
-                                    work.outcome.notes);
-    }
-    for (ResilientMapping& mapping : work.mappings) {
-      merger.Emit(std::move(mapping));
-    }
-    if (work.outcome.tier != DegradationTier::kSemanticFull) {
-      ctx.Count("pipeline.degraded_tables");
-    }
-    result.report.tables.push_back(std::move(work.outcome));
-  }
-  result.mappings = std::move(merger.mappings());
-  ctx.Count("pipeline.mappings_emitted",
-            static_cast<int64_t>(result.mappings.size()));
-  return result;
 }
 
 }  // namespace semap::exec

@@ -19,6 +19,36 @@
 // higher tiers were abandoned, so operators can tell a degraded answer
 // from a full one.
 //
+// Each table's cascade is one supervised work unit. RunResilientPipeline
+// runs the units inline on the calling thread (jobs = 1, the default) or
+// on a worker pool, and wraps each in:
+//
+//   * isolation  — every unit attempt runs under its own child
+//     RunContext: a private governor slice (parent of the cascade's tier
+//     governors), a private DiagnosticSink, a private Tracer (absorbed
+//     into the run trace as a `unit/<table>` span), private Metrics and a
+//     private ProvenanceRecorder, merged after completion.
+//   * watchdog   — with unit_deadline_ms, a watchdog thread Cancels the
+//     governor of any unit that overstays its deadline, so the cascade
+//     unwinds at its next charge. Cancellation is cooperative: it
+//     interrupts governed loops, not arbitrary code.
+//   * retry      — a unit that lost its semantic tiers to exhaustion
+//     (budget, deadline, injected fault — the transient failures) is run
+//     up to unit_attempts times under capped exponential backoff with
+//     seeded deterministic jitter (util/backoff.h). Clean empty answers
+//     and real errors are final.
+//   * breaker    — after breaker_threshold *consecutive* units lose their
+//     semantic tiers, every unit started afterwards skips straight to the
+//     RIC tier instead of grinding through more timeouts.
+//   * checkpoint — with a checkpoint path, every completed unit is
+//     appended to a crash-safe journal (exec/checkpoint.h); a killed run
+//     restarted with resume = true skips finished tables and merges their
+//     cached mappings into an identical final mapping set.
+//
+// Determinism: units are merged in sorted table order whatever order they
+// complete in, so any jobs count produces the same mapping set,
+// degradation report and explain output on a fault-free run.
+//
 // Deterministic fault injection for tests: options.fault_after (or the
 // SEMAP_FAULT_AFTER environment variable) forces kResourceExhausted in
 // the semantic tiers after that many charged steps; the cascade must then
@@ -27,6 +57,7 @@
 #ifndef SEMAP_EXEC_RESILIENT_PIPELINE_H_
 #define SEMAP_EXEC_RESILIENT_PIPELINE_H_
 
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <optional>
@@ -36,8 +67,13 @@
 #include "baseline/ric_mapper.h"
 #include "exec/run_context.h"
 #include "rewriting/semantic_mapper.h"
+#include "util/backoff.h"
 #include "util/diag.h"
 #include "util/result.h"
+
+namespace semap::store {
+class Env;
+}  // namespace semap::store
 
 namespace semap::exec {
 
@@ -91,6 +127,44 @@ struct ResilientPipelineOptions {
   int64_t fault_after = -1;
   /// Shrinking-budget retries per governed tier before degrading.
   size_t retries_per_tier = 1;
+
+  // --- Supervision of the per-table units. The defaults run every unit
+  // once, inline, with no breaker and no journal.
+
+  /// Worker threads; 1 runs the units inline on the calling thread.
+  size_t jobs = 1;
+  /// Per-unit wall-clock deadline, watchdog-enforced; < 0 = none.
+  int64_t unit_deadline_ms = -1;
+  /// Total attempts per unit (1 = no unit-level retry).
+  size_t unit_attempts = 1;
+  /// Delays between unit attempts; seed it for reproducible schedules.
+  BackoffPolicy backoff;
+  /// Consecutive semantic-tier losses before the breaker trips the rest
+  /// of the run down to the RIC tier; 0 disables the breaker.
+  size_t breaker_threshold = 0;
+  /// Deterministic transient-fault simulation: apply fault injection
+  /// only to the first N attempts of each unit, so a retry "clears" the
+  /// fault. 0 = the fault (if any) is permanent.
+  size_t fault_attempts = 0;
+  /// Checkpoint journal path; empty = no checkpointing.
+  std::string checkpoint_path;
+  /// Load an existing journal at checkpoint_path first and skip its
+  /// finished tables.
+  bool resume = false;
+  /// Test hook simulating a mid-run kill: stop dispatching new units
+  /// once this many fresh units have completed (0 = never). The journal
+  /// then holds exactly the completed prefix.
+  size_t halt_after_units = 0;
+  /// Cooperative shutdown flag (not owned; e.g. set by a SIGINT/SIGTERM
+  /// handler). Once it reads true, no new unit is dispatched, running
+  /// units are cancelled through their governors, and the run returns
+  /// with `interrupted` set — interrupted units neither journaled nor
+  /// merged.
+  const std::atomic<bool>* cancel = nullptr;
+  /// I/O seam for all checkpoint-store operations (store/env.h);
+  /// Env::Default() when null. Crash-matrix tests inject syscall-level
+  /// faults here.
+  store::Env* io_env = nullptr;
 };
 
 /// \brief One emitted mapping, tagged with the tier that produced it.
@@ -104,19 +178,41 @@ struct ResilientMapping {
   std::string target_algebra;
 };
 
+/// \brief Per-unit execution summary.
+struct UnitReport {
+  std::string table;
+  /// Attempts actually run; 0 for units served from the checkpoint.
+  size_t attempts = 0;
+  bool from_checkpoint = false;
+  /// Backoff delays slept before each retry, in order.
+  std::vector<int64_t> retry_delays_ms;
+};
+
 struct ResilientResult {
   std::vector<ResilientMapping> mappings;
   DegradationReport report;
+  /// One entry per cascading table that ran or was resumed, sorted by
+  /// table name.
+  std::vector<UnitReport> units;
+  size_t retries = 0;
+  bool breaker_tripped = false;
+  /// True when halt_after_units stopped the run early (test hook).
+  bool halted = false;
+  /// True when the cancel flag interrupted the run: some tables were
+  /// never dispatched (or were unwound mid-cascade and discarded). The
+  /// tables that did finish are checkpointed and merged as usual.
+  bool interrupted = false;
+  /// Non-fatal journal trouble (torn tail dropped on resume, append
+  /// failure); empty when clean.
+  std::string journal_warning;
 };
 
-// --- Building blocks shared by the serial pipeline and the supervisor ---
+// --- Building blocks ----------------------------------------------------
 //
 // RunResilientPipeline is PrepareResilientRun + one RunTableCascade per
-// surviving table + a MappingMerger pass, run serially on the calling
-// thread. exec/supervisor.h reuses the same three pieces to run the
-// cascades on a worker pool with retry, watchdog deadlines and
-// checkpointing; keeping them public is what guarantees --jobs=N and the
-// serial path can never drift apart.
+// surviving table (each inside a supervised unit) + a MappingMerger pass
+// in sorted table order. They stay public so a caller can replay that
+// composition step by step and time each piece.
 
 /// \brief The fail-soft front half of a resilient run: dangling
 /// correspondences quarantined (with ctx.sink) or rejected (without),
@@ -160,15 +256,15 @@ struct TableWork {
   std::vector<ResilientMapping> mappings;
   /// True when the semantic tiers were lost to exhaustion (budget,
   /// deadline, injected fault) rather than answering cleanly — the
-  /// failure a supervisor retry might recover from.
+  /// failure a unit retry might recover from.
   bool transient_failure = false;
 };
 
 /// \brief Run the tier cascade for one target table. Opens a `cascade`
 /// span on ctx and counts tier attempts / governor trips; ctx.governor,
-/// when set, becomes the *parent* of every tier governor (the
-/// supervisor's per-unit budget slice — a watchdog Cancel on it unwinds
-/// the whole cascade at the next charge).
+/// when set, becomes the *parent* of every tier governor (the unit's
+/// budget slice — a watchdog Cancel on it unwinds the whole cascade at
+/// the next charge).
 TableWork RunTableCascade(const sem::AnnotatedSchema& source,
                           const sem::AnnotatedSchema& target,
                           const std::string& table,
@@ -179,7 +275,7 @@ TableWork RunTableCascade(const sem::AnnotatedSchema& source,
 /// \brief Cross-table assembly: TGD-safety-checks each mapping (with
 /// ctx.sink), collapses cross-table duplicates onto their first
 /// occurrence, and accumulates the final mapping list. Feed tables in
-/// sorted order to reproduce the serial pipeline's output exactly.
+/// sorted order to reproduce RunResilientPipeline's output exactly.
 class MappingMerger {
  public:
   explicit MappingMerger(const RunContext& ctx) : ctx_(ctx) {}
@@ -195,22 +291,25 @@ class MappingMerger {
 };
 
 /// \brief Run the degradation cascade over every target table named by
-/// `correspondences`. Without a sink in the context, returns an error for
-/// malformed inputs (unknown columns, empty correspondence set). With
-/// `ctx.sink` set, malformed inputs no longer fail the run (only an empty
+/// `correspondences`, one supervised unit per table (see the top of this
+/// file). Without a sink in the context, returns an error for malformed
+/// inputs (unknown columns, empty correspondence set). With `ctx.sink`
+/// set, malformed inputs no longer fail the run (only an empty
 /// correspondence set still does): correspondences naming unknown columns
 /// are quarantined with kDanglingCorrespondence (their tables reported at
 /// tier kQuarantined), columns without semantics degrade their table with
 /// kUnliftableCorrespondence, and any unsafe produced mapping is
 /// discarded with kUnsafeTgd. Resource exhaustion never surfaces as an
-/// error — it surfaces as a degraded tier in the report.
-/// The RunContext's tracer/metrics observe the whole cascade: one
-/// `cascade` span per target table with a nested `tier` span per attempt
-/// (each carrying the usual discovery/rewriting phase spans beneath it),
-/// plus `pipeline.*` and `governor.trips` counters. The context's
-/// governor is ignored — the cascade manufactures its own per-tier
-/// governor slices from deadline_ms/max_steps — but its sink/tracer/
-/// metrics flow into every tier.
+/// error — it surfaces as a degraded tier in the report. A checkpoint
+/// journal that cannot be opened, or a resume against different inputs,
+/// is an error.
+/// The RunContext's tracer/metrics observe the whole run: one
+/// `unit/<table>` span per cascading table holding its `cascade` span,
+/// with a nested `tier` span per attempt; `pipeline.*`,
+/// `supervisor.*` and `governor.trips` counters; and the
+/// `supervisor.queue_wait` histogram. The context's governor is ignored —
+/// units get their own governor slices from deadline_ms/max_steps — but
+/// its sink/tracer/metrics/provenance/events flow into every tier.
 Result<ResilientResult> RunResilientPipeline(
     const sem::AnnotatedSchema& source, const sem::AnnotatedSchema& target,
     const std::vector<disc::Correspondence>& correspondences,

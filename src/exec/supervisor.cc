@@ -1,5 +1,9 @@
-#include "exec/supervisor.h"
-
+// RunResilientPipeline: the supervised driver of every resilient run.
+// Each cascading table is a work unit run by WorkerLoop — inline on the
+// calling thread for jobs = 1, on a pool otherwise — under the isolation,
+// watchdog, retry, breaker, checkpoint and cancel machinery described in
+// exec/resilient_pipeline.h. Assembly then merges the units in sorted
+// table order, so completion order never leaks into the output.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -10,7 +14,8 @@
 #include <thread>
 #include <utility>
 
-#include "exec/explain_capture.h"
+#include "exec/checkpoint.h"
+#include "exec/resilient_pipeline.h"
 
 namespace semap::exec {
 
@@ -43,6 +48,7 @@ struct UnitDone {
   TableWork work;
   size_t attempts = 0;
   std::vector<int64_t> retry_delays_ms;
+  /// From the start of dispatch to the claim of this unit.
   int64_t queue_wait_ns = 0;
   std::unique_ptr<DiagnosticSink> sink;
   std::unique_ptr<obs::Tracer> tracer;
@@ -142,6 +148,8 @@ class WatchLease {
 /// breaker flag (read on the hot path of every attempt).
 struct Shared {
   std::mutex mu;
+  /// When the workers started claiming units: queue waits count from here.
+  Clock::time_point dispatch_start;
   size_t next = 0;
   bool halted = false;
   bool interrupted = false;
@@ -171,7 +179,7 @@ bool CancelRequested(const Shared* shared) {
 /// problems twice.
 UnitDone RunUnit(const sem::AnnotatedSchema& source,
                  const sem::AnnotatedSchema& target, const Unit& unit,
-                 const SupervisorOptions& options,
+                 const ResilientPipelineOptions& options,
                  const TableCascadeOptions& base_opts, const RunContext& ctx,
                  Shared* shared, Watchdog* watchdog) {
   UnitDone done;
@@ -263,10 +271,10 @@ UnitDone RunUnit(const sem::AnnotatedSchema& source,
     }
   }
 
-  // Mirror the serial pipeline: fail-soft quarantine drops lead the
-  // table's notes; supervisor annotations trail them. Fault-free runs
-  // take one attempt with the breaker closed and add nothing, keeping
-  // --jobs=N note-for-note identical to the serial path.
+  // Fail-soft quarantine drops lead the table's notes; supervisor
+  // annotations trail them. Fault-free runs take one attempt with the
+  // breaker closed and add nothing, keeping every jobs count
+  // note-for-note identical.
   TableOutcome& outcome = done.work.outcome;
   if (unit.quarantine_notes != nullptr) {
     outcome.notes.insert(outcome.notes.begin(), unit.quarantine_notes->begin(),
@@ -289,12 +297,12 @@ UnitDone RunUnit(const sem::AnnotatedSchema& source,
 void WorkerLoop(const sem::AnnotatedSchema& source,
                 const sem::AnnotatedSchema& target,
                 const std::vector<Unit>& units,
-                const SupervisorOptions& options,
+                const ResilientPipelineOptions& options,
                 const TableCascadeOptions& base_opts, const RunContext& ctx,
                 Shared* shared, Watchdog* watchdog) {
   for (;;) {
     size_t index = 0;
-    Clock::time_point claimed_at;
+    int64_t queue_wait_ns = 0;
     {
       std::lock_guard<std::mutex> lock(shared->mu);
       if (CancelRequested(shared)) {
@@ -305,7 +313,9 @@ void WorkerLoop(const sem::AnnotatedSchema& source,
       }
       if (shared->halted || shared->next >= units.size()) return;
       index = shared->next++;
-      claimed_at = Clock::now();
+      queue_wait_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          Clock::now() - shared->dispatch_start)
+                          .count();
     }
     const Unit& unit = units[index];
     int64_t unit_start_ns = 0;
@@ -316,9 +326,7 @@ void WorkerLoop(const sem::AnnotatedSchema& source,
     }
     UnitDone done =
         RunUnit(source, target, unit, options, base_opts, ctx, shared, watchdog);
-    done.queue_wait_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             Clock::now() - claimed_at)
-                             .count();
+    done.queue_wait_ns = queue_wait_ns;
     if (ctx.events != nullptr) {
       ctx.events->Emit(
           "unit_done",
@@ -375,16 +383,11 @@ void WorkerLoop(const sem::AnnotatedSchema& source,
       CheckpointedUnit checkpoint;
       checkpoint.outcome = done.work.outcome;
       checkpoint.mappings = done.work.mappings;
-      // Journal the unit's pre-merge provenance alongside its mappings:
-      // a resumed --explain then restores the search history instead of
-      // reconstructing origin-"checkpoint" stubs.
-      if (done.provenance != nullptr) {
-        const auto& tables = done.provenance->tables();
-        if (auto prov = tables.find(unit.table); prov != tables.end()) {
-          checkpoint.provenance = prov->second;
-          checkpoint.has_provenance = true;
-        }
-      }
+      // Journal the unit's pre-merge provenance alongside its mappings
+      // (a recorder exists whenever a journal is open, and the cascade
+      // always opens its table), so a resumed --explain restores the
+      // search history.
+      checkpoint.provenance = done.provenance->tables().at(unit.table);
       Status append = shared->journal->Append(checkpoint);
       if (!append.ok() && shared->journal_warning.empty()) {
         shared->journal_warning =
@@ -408,21 +411,21 @@ void WorkerLoop(const sem::AnnotatedSchema& source,
 
 }  // namespace
 
-Result<SupervisorResult> RunSupervisedPipeline(
+Result<ResilientResult> RunResilientPipeline(
     const sem::AnnotatedSchema& source, const sem::AnnotatedSchema& target,
     const std::vector<disc::Correspondence>& correspondences,
-    const SupervisorOptions& options, const RunContext& run_ctx) {
+    const ResilientPipelineOptions& options, const RunContext& run_ctx) {
   if (correspondences.empty()) {
     return Status::InvalidArgument("no correspondences given");
   }
   // Units get their own governor slices; a caller-provided governor is
-  // not part of this entry point's contract (same as the serial path).
+  // not part of this entry point's contract.
   const RunContext ctx = run_ctx.WithGovernor(nullptr);
 
   auto prepared = PrepareResilientRun(source, target, correspondences, ctx);
   if (!prepared.ok()) return prepared.status();
 
-  SupervisorResult result;
+  ResilientResult result;
 
   // Checkpoint journal: open (or resume) before any unit runs, so even a
   // run killed on its first table leaves a well-formed journal behind.
@@ -475,18 +478,18 @@ Result<SupervisorResult> RunSupervisedPipeline(
   }
 
   TableCascadeOptions base_opts;
-  base_opts.semantic = options.pipeline.semantic;
-  base_opts.ric = options.pipeline.ric;
-  base_opts.max_steps = options.pipeline.max_steps;
-  base_opts.retries_per_tier = options.pipeline.retries_per_tier;
-  if (options.pipeline.fault_after >= 0) {
-    base_opts.fault_after = options.pipeline.fault_after;
+  base_opts.semantic = options.semantic;
+  base_opts.ric = options.ric;
+  base_opts.max_steps = options.max_steps;
+  base_opts.retries_per_tier = options.retries_per_tier;
+  if (options.fault_after >= 0) {
+    base_opts.fault_after = options.fault_after;
   } else {
     base_opts.fault_after = ResourceGovernor::FaultAfterFromEnv();
   }
-  if (options.pipeline.deadline_ms >= 0) {
+  if (options.deadline_ms >= 0) {
     base_opts.deadline =
-        Clock::now() + std::chrono::milliseconds(options.pipeline.deadline_ms);
+        Clock::now() + std::chrono::milliseconds(options.deadline_ms);
   }
 
   // Shutdown plumbing: every unit governor parents to this root, and a
@@ -523,6 +526,7 @@ Result<SupervisorResult> RunSupervisedPipeline(
     }
     const size_t jobs = std::max<size_t>(1, options.jobs);
     const size_t pool = std::min(jobs, units.size());
+    shared.dispatch_start = Clock::now();
     if (pool <= 1) {
       WorkerLoop(source, target, units, options, base_opts, ctx, &shared,
                  watchdog.get());
@@ -544,13 +548,14 @@ Result<SupervisorResult> RunSupervisedPipeline(
   }
 
   // --- Assembly: single-threaded, in sorted table order -------------
-  // Exactly the serial pipeline's merge, which is what makes --jobs=N
-  // (and resumed runs) reproduce its mapping set and report.
-  result.run.report.quarantined_correspondences =
+  // The merge order, not the completion order, decides the output: this
+  // is what makes any jobs count (and resumed runs) reproduce the same
+  // mapping set and report.
+  result.report.quarantined_correspondences =
       prepared->quarantined_correspondences;
-  result.run.report.tables = std::move(prepared->quarantined_tables);
+  result.report.tables = std::move(prepared->quarantined_tables);
   if (ctx.provenance != nullptr) {
-    for (const TableOutcome& outcome : result.run.report.tables) {
+    for (const TableOutcome& outcome : result.report.tables) {
       ctx.provenance->RecordOutcome(outcome.target_table,
                                     TierName(outcome.tier), outcome.notes);
     }
@@ -560,11 +565,31 @@ Result<SupervisorResult> RunSupervisedPipeline(
             static_cast<int64_t>(prepared->quarantined_correspondences));
 
   MappingMerger merger(ctx);
+  // Record a finished unit's outcome and run its raw mappings through the
+  // merger — the same for live and resumed units.
+  auto assemble = [&](const std::string& table, TableOutcome& outcome,
+                      std::vector<ResilientMapping>& mappings,
+                      UnitReport report) {
+    if (ctx.provenance != nullptr) {
+      ctx.provenance->RecordOutcome(table, TierName(outcome.tier),
+                                    outcome.notes);
+    }
+    for (ResilientMapping& mapping : mappings) merger.Emit(std::move(mapping));
+    if (outcome.tier != DegradationTier::kSemanticFull) {
+      ctx.Count("pipeline.degraded_tables");
+    }
+    result.report.tables.push_back(std::move(outcome));
+    report.table = table;
+    result.units.push_back(std::move(report));
+  };
   for (const auto& [table, group] : prepared->groups) {
     if (auto cp = checkpointed.find(table); cp != checkpointed.end()) {
-      // Served from the journal: its outcome (quarantine notes included)
-      // and raw mappings were recorded at completion; only the merge
-      // reruns, which is deterministic.
+      // Served from the journal: its outcome (quarantine notes included),
+      // raw mappings and pre-merge provenance were recorded at
+      // completion; only the merge reruns, which is deterministic. The
+      // provenance is adopted exactly as MergeFrom would a live
+      // recorder's, so the resumed --explain output is byte-identical to
+      // an uninterrupted run's.
       ctx.Count("supervisor.units_resumed");
       if (ctx.events != nullptr) {
         ctx.events->Emit("checkpoint_resume",
@@ -575,51 +600,13 @@ Result<SupervisorResult> RunSupervisedPipeline(
                                   static_cast<int64_t>(
                                       cp->second.mappings.size())));
       }
-      UnitReport report;
-      report.table = table;
-      report.from_checkpoint = true;
-      if (ctx.provenance != nullptr && cp->second.has_provenance) {
-        // The journal carries the unit's pre-merge provenance: adopt it
-        // exactly as MergeFrom would a live recorder's, then let the
-        // deterministic merge replay re-stamp emitted/tier below — the
-        // resumed --explain output is byte-identical to an
-        // uninterrupted run's.
+      if (ctx.provenance != nullptr) {
         ctx.provenance->AdoptTable(cp->second.provenance);
-        ctx.provenance->RecordOutcome(table,
-                                      TierName(cp->second.outcome.tier),
-                                      cp->second.outcome.notes);
-      } else if (ctx.provenance != nullptr) {
-        // Journals written before provenance was checkpointed keep the
-        // unit's result, not its search history: reconstruct one
-        // derivation per cached mapping (origin "checkpoint") so the
-        // one-derivation-per-emitted-TGD invariant survives a resume;
-        // the rejection log of the original run is gone.
-        for (const ResilientMapping& mapping : cp->second.mappings) {
-          obs::DerivationRecord derivation;
-          derivation.tgd = mapping.tgd.ToString();
-          derivation.origin = "checkpoint";
-          for (const disc::Correspondence& corr : mapping.covered) {
-            derivation.covered.push_back(corr.ToString());
-          }
-          derivation.skolems = SkolemDecisionsOf(mapping.tgd);
-          derivation.source_algebra = mapping.source_algebra;
-          derivation.target_algebra = mapping.target_algebra;
-          ctx.provenance->BeginTable(table);
-          ctx.provenance->RecordDerivation(std::move(derivation));
-          ctx.provenance->EndTable();
-        }
-        ctx.provenance->RecordOutcome(table,
-                                      TierName(cp->second.outcome.tier),
-                                      cp->second.outcome.notes);
       }
-      for (ResilientMapping& mapping : cp->second.mappings) {
-        merger.Emit(std::move(mapping));
-      }
-      if (cp->second.outcome.tier != DegradationTier::kSemanticFull) {
-        ctx.Count("pipeline.degraded_tables");
-      }
-      result.run.report.tables.push_back(std::move(cp->second.outcome));
-      result.units.push_back(std::move(report));
+      UnitReport report;
+      report.from_checkpoint = true;
+      assemble(table, cp->second.outcome, cp->second.mappings,
+               std::move(report));
       continue;
     }
     auto it = shared.done.find(table);
@@ -638,28 +625,17 @@ Result<SupervisorResult> RunSupervisedPipeline(
     }
     if (ctx.provenance != nullptr && done.provenance != nullptr) {
       ctx.provenance->MergeFrom(*done.provenance);
-      ctx.provenance->RecordOutcome(table, TierName(done.work.outcome.tier),
-                                    done.work.outcome.notes);
     }
     ctx.Count("supervisor.unit_attempts", static_cast<int64_t>(done.attempts));
     result.retries += done.attempts - 1;
-    for (ResilientMapping& mapping : done.work.mappings) {
-      merger.Emit(std::move(mapping));
-    }
-    if (done.work.outcome.tier != DegradationTier::kSemanticFull) {
-      ctx.Count("pipeline.degraded_tables");
-    }
-    result.run.report.tables.push_back(std::move(done.work.outcome));
     UnitReport report;
-    report.table = table;
     report.attempts = done.attempts;
     report.retry_delays_ms = std::move(done.retry_delays_ms);
-    report.queue_wait_ns = done.queue_wait_ns;
-    result.units.push_back(std::move(report));
+    assemble(table, done.work.outcome, done.work.mappings, std::move(report));
   }
-  result.run.mappings = std::move(merger.mappings());
+  result.mappings = std::move(merger.mappings());
   ctx.Count("pipeline.mappings_emitted",
-            static_cast<int64_t>(result.run.mappings.size()));
+            static_cast<int64_t>(result.mappings.size()));
   if (result.retries > 0) {
     ctx.Count("supervisor.retries", static_cast<int64_t>(result.retries));
   }

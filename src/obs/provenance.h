@@ -13,10 +13,10 @@
 // same run always serializes to the same bytes.
 //
 // Determinism under concurrency: recorders are single-threaded like the
-// Tracer. The supervisor gives each work unit a private recorder and
-// MergeFrom()s them into the run recorder at assembly, in sorted table
-// order; tables() is itself name-sorted, so --jobs=N explain output is
-// byte-identical to --jobs=1.
+// Tracer. exec::RunResilientPipeline gives each work unit a private
+// recorder and MergeFrom()s them into the run recorder at assembly, in
+// sorted table order; tables() is itself name-sorted, so --jobs=N explain
+// output is byte-identical to --jobs=1.
 //
 // Disabled provenance is the default and costs nothing: every call site
 // guards on a null ProvenanceRecorder* before rendering any string, so an
@@ -55,9 +55,8 @@ struct SkolemDecision {
 /// \brief Why one emitted mapping exists: the winning candidate replayed.
 struct DerivationRecord {
   std::string tgd;  // rendered TGD; the key ConfirmEmitted matches on
-  /// Which stage produced it: "semantic", "ric-baseline", or
-  /// "checkpoint" (served from a resume journal, pre-merge provenance
-  /// lost).
+  /// Which stage produced it: "semantic" or "ric-baseline" (a resumed
+  /// run restores the journaled record, origin included).
   std::string origin = "semantic";
   /// Execution tier that produced it (TierName), stamped when the merger
   /// accepts the mapping.
@@ -139,7 +138,7 @@ class ProvenanceRecorder {
   void RecordDerivation(DerivationRecord derivation);
 
   /// Final cascade outcome for `table` (works outside any scope: the
-  /// supervisor records outcomes at assembly).
+  /// pipeline records outcomes at assembly).
   void RecordOutcome(const std::string& table, const std::string& tier,
                      const std::vector<std::string>& notes);
 
@@ -155,7 +154,7 @@ class ProvenanceRecorder {
                    const std::string& reason);
 
   /// Fold a work unit's private recorder into this one. Call in sorted
-  /// table order to reproduce the serial pipeline's export bytes.
+  /// table order for export bytes independent of completion order.
   void MergeFrom(const ProvenanceRecorder& other);
 
   /// Fold one externally reconstructed table record into this one —

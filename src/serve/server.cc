@@ -4,8 +4,8 @@
 #include <chrono>
 #include <utility>
 
+#include "exec/resilient_pipeline.h"
 #include "exec/run_context.h"
-#include "exec/supervisor.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
 
@@ -176,7 +176,7 @@ Status Server::Serve(const std::atomic<bool>& stop) {
 
   // Drain: stop accepting (the listener is done), let queued connections
   // be answered E211, give in-flight requests the drain deadline, then
-  // cancel whatever is left through the supervisor's cooperative flag.
+  // cancel whatever is left through the pipeline's cooperative flag.
   const bool crashed =
       opts_.net_fault != nullptr && opts_.net_fault->crashed();
   draining_.store(true);
@@ -642,15 +642,17 @@ Result<std::string> Server::Compute(const Request& request,
   if (!artifact.ok()) return artifact.status();
   const validate::LoadedScenario& scenario = **artifact;
 
-  exec::SupervisorOptions sup;
-  sup.jobs = 1;  // one worker thread = one supervised unit stream
+  exec::ResilientPipelineOptions pipeline;
+  pipeline.jobs = 1;  // one worker thread = one supervised unit stream
+  pipeline.unit_attempts = 2;
+  pipeline.breaker_threshold = 3;
   // Thread the REMAINING budget into the pipeline governor: time spent
   // queued or held is gone, and the resilient cascade degrades tiers
   // against what is actually left rather than overrunning the caller.
-  sup.pipeline.deadline_ms =
+  pipeline.deadline_ms =
       deadlined ? std::max<int64_t>(request.deadline_ms - ElapsedMs(start), 1)
                 : opts_.default_deadline_ms;
-  sup.cancel = &drain_cancel_;
+  pipeline.cancel = &drain_cancel_;
 
   DiagnosticSink sink;
   obs::ProvenanceRecorder provenance;
@@ -660,13 +662,14 @@ Result<std::string> Server::Compute(const Request& request,
   ctx.metrics = &metrics;
   if (request.op == "explain") ctx.provenance = &provenance;
   if (opts_.events != nullptr) ctx.events = opts_.events;
-  // Attribute this run's pipeline events to the request: the supervisor
+  // Attribute this run's pipeline events to the request: the pipeline
   // stamps the trace_id onto every unit event it emits.
   ctx.trace_id = request.trace_id;
 
   const TimePoint pipeline_start = Clock::now();
-  auto run = exec::RunSupervisedPipeline(scenario.source, scenario.target,
-                                         scenario.correspondences, sup, ctx);
+  auto run = exec::RunResilientPipeline(scenario.source, scenario.target,
+                                        scenario.correspondences, pipeline,
+                                        ctx);
   lc->pipeline_ns = NsSince(pipeline_start);
   run_metrics_.MergeFrom(metrics);
   if (!run.ok()) return run.status();
@@ -676,7 +679,7 @@ Result<std::string> Server::Compute(const Request& request,
   // A caller-supplied deadline that degraded any table produced a body
   // other deadlines would not see: serve it, but keep it out of the
   // durable result cache.
-  if (deadlined && run->run.report.AnyAtBaselineOrWorse() && !entry.degraded) {
+  if (deadlined && run->report.AnyAtBaselineOrWorse() && !entry.degraded) {
     *cacheable = false;
   }
 
@@ -687,12 +690,12 @@ Result<std::string> Server::Compute(const Request& request,
   // bytes (the idempotency and restart guarantees depend on it).
   std::string body = EscapedField("scenario", entry.name, true);
   body += ",\"degraded\":";
-  body += (run->run.report.AnyAtBaselineOrWorse() || entry.degraded)
+  body += (run->report.AnyAtBaselineOrWorse() || entry.degraded)
               ? "true"
               : "false";
   body += ",\"mappings\":[";
   bool first = true;
-  for (const exec::ResilientMapping& m : run->run.mappings) {
+  for (const exec::ResilientMapping& m : run->mappings) {
     if (!first) body += ",";
     first = false;
     body += EscapedField("tier", exec::TierName(m.tier), true);
@@ -704,7 +707,7 @@ Result<std::string> Server::Compute(const Request& request,
     body += "}";
   }
   body += "]";
-  body += EscapedField("report", run->run.report.ToString());
+  body += EscapedField("report", run->report.ToString());
   body += "}";
   return body;
 }

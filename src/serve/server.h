@@ -6,7 +6,8 @@
 // cache), opens the journaled response store keyed by the catalog
 // fingerprint, and binds the listener. Serve() runs the accept loop on
 // the calling thread and a fixed worker pool; each worker executes one
-// request at a time through the supervised pipeline (exec/supervisor.h)
+// request at a time through exec::RunResilientPipeline
+// (exec/resilient_pipeline.h), with unit retry and the circuit breaker on,
 // under the request's own deadline and the server's drain-cancel flag.
 //
 // Robustness contract (tested by tests/serve_test.cc, documented in
@@ -40,7 +41,7 @@
 //     in-flight work degrades instead of overrunning its caller.
 //   * drain — when the stop flag rises the listener closes, queued
 //     connections get SEMAP-E211, in-flight requests finish; past the
-//     drain deadline they are cancelled through the supervisor's
+//     drain deadline they are cancelled through the pipeline's
 //     cooperative flag and answered SEMAP-E212. Then Serve returns.
 //   * fault seams — all store I/O goes through ServerOptions::io_env,
 //     all socket ops through ServerOptions::net_fault (store/env.h), so
@@ -256,7 +257,7 @@ class Server {
   std::vector<std::thread> workers_;
 
   std::atomic<bool> draining_{false};
-  /// The supervisor cancel flag shared by every in-flight request: set
+  /// The pipeline cancel flag shared by every in-flight request: set
   /// when the drain deadline expires.
   std::atomic<bool> drain_cancel_{false};
   std::atomic<size_t> active_{0};

@@ -7,7 +7,7 @@
 // The sweep is sized empirically: a probe run under an unarmed FaultEnv
 // counts the write/fsync/rename operations an uninterrupted checkpointed
 // run issues, then every (op, k, mode) combination with mode in
-// {crash, short-write} is injected through SupervisorOptions::io_env.
+// {crash, short-write} is injected through ResilientPipelineOptions::io_env.
 // The "restart" reopens the frozen on-disk state with the real Env —
 // exactly what a rerun after SIGKILL does. SEMAP_IO_FAULT drives the
 // same machinery against the unmodified semap_map binary (see
@@ -20,7 +20,7 @@
 
 #include "datasets/domains.h"
 #include "datasets/examples.h"
-#include "exec/supervisor.h"
+#include "exec/resilient_pipeline.h"
 #include "store/env.h"
 #include "store/journal.h"
 
@@ -96,15 +96,15 @@ class CrashMatrixTest : public testing::Test {
     domain_ = University(&correspondences_);
     // Reference: one uninterrupted checkpointed run.
     const std::string ref_path = FreshJournalPath("crash_matrix_ref");
-    exec::SupervisorOptions ref_opts;
+    exec::ResilientPipelineOptions ref_opts;
     ref_opts.checkpoint_path = ref_path;
-    auto reference = exec::RunSupervisedPipeline(
+    auto reference = exec::RunResilientPipeline(
         domain_.source, domain_.target, correspondences_, ref_opts);
     ASSERT_TRUE(reference.ok()) << reference.status();
     ASSERT_TRUE(reference->journal_warning.empty())
         << reference->journal_warning;
-    reference_keys_ = MappingKeys(reference->run);
-    reference_report_ = reference->run.report.ToString();
+    reference_keys_ = MappingKeys(*reference);
+    reference_report_ = reference->report.ToString();
     ASSERT_FALSE(reference_keys_.empty());
     std::remove(ref_path.c_str());
   }
@@ -117,10 +117,10 @@ class CrashMatrixTest : public testing::Test {
 
     FaultEnv env;
     env.set_plan(plan);
-    exec::SupervisorOptions faulted_opts;
+    exec::ResilientPipelineOptions faulted_opts;
     faulted_opts.checkpoint_path = path;
     faulted_opts.io_env = &env;
-    auto faulted = exec::RunSupervisedPipeline(
+    auto faulted = exec::RunResilientPipeline(
         domain_.source, domain_.target, correspondences_, faulted_opts);
     // A kill at journal creation fails the run outright; a kill during
     // appends degrades to journal warnings while discovery finishes in
@@ -136,14 +136,14 @@ class CrashMatrixTest : public testing::Test {
     ExpectCleanIdenticalReplays(path, context);
 
     // Restart: same scenario, real I/O, resume from whatever survived.
-    exec::SupervisorOptions resume_opts;
+    exec::ResilientPipelineOptions resume_opts;
     resume_opts.checkpoint_path = path;
     resume_opts.resume = true;
-    auto resumed = exec::RunSupervisedPipeline(
+    auto resumed = exec::RunResilientPipeline(
         domain_.source, domain_.target, correspondences_, resume_opts);
     ASSERT_TRUE(resumed.ok()) << context << ": " << resumed.status();
-    EXPECT_EQ(MappingKeys(resumed->run), reference_keys_) << context;
-    EXPECT_EQ(resumed->run.report.ToString(), reference_report_) << context;
+    EXPECT_EQ(MappingKeys(*resumed), reference_keys_) << context;
+    EXPECT_EQ(resumed->report.ToString(), reference_report_) << context;
 
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
@@ -159,11 +159,11 @@ TEST_F(CrashMatrixTest, KillAtEveryFaultPointRecoversToIdenticalOutput) {
   // Probe: count the fault points of one uninterrupted run.
   FaultEnv probe;
   const std::string probe_path = FreshJournalPath("crash_matrix_probe");
-  exec::SupervisorOptions probe_opts;
+  exec::ResilientPipelineOptions probe_opts;
   probe_opts.checkpoint_path = probe_path;
   probe_opts.io_env = &probe;
-  auto probed = exec::RunSupervisedPipeline(domain_.source, domain_.target,
-                                            correspondences_, probe_opts);
+  auto probed = exec::RunResilientPipeline(domain_.source, domain_.target,
+                                           correspondences_, probe_opts);
   ASSERT_TRUE(probed.ok()) << probed.status();
   ASSERT_FALSE(probe.crashed());
   std::remove(probe_path.c_str());
@@ -216,28 +216,28 @@ TEST_F(CrashMatrixTest, ResumingTwiceAfterACrashIsIdempotent) {
   plan.after = 3;  // past journal creation, into the append stream
   plan.mode = FaultMode::kCrash;
   env.set_plan(plan);
-  exec::SupervisorOptions faulted_opts;
+  exec::ResilientPipelineOptions faulted_opts;
   faulted_opts.checkpoint_path = path;
   faulted_opts.io_env = &env;
-  auto faulted = exec::RunSupervisedPipeline(domain_.source, domain_.target,
-                                             correspondences_, faulted_opts);
+  auto faulted = exec::RunResilientPipeline(domain_.source, domain_.target,
+                                            correspondences_, faulted_opts);
   ASSERT_TRUE(env.crashed());
 
   // First resume completes the work; a second resume then serves
   // everything from the store and must reproduce the same bytes (I2 at
   // the catalog level).
-  exec::SupervisorOptions resume_opts;
+  exec::ResilientPipelineOptions resume_opts;
   resume_opts.checkpoint_path = path;
   resume_opts.resume = true;
-  auto first = exec::RunSupervisedPipeline(domain_.source, domain_.target,
-                                           correspondences_, resume_opts);
+  auto first = exec::RunResilientPipeline(domain_.source, domain_.target,
+                                          correspondences_, resume_opts);
   ASSERT_TRUE(first.ok()) << first.status();
-  auto second = exec::RunSupervisedPipeline(domain_.source, domain_.target,
-                                            correspondences_, resume_opts);
+  auto second = exec::RunResilientPipeline(domain_.source, domain_.target,
+                                           correspondences_, resume_opts);
   ASSERT_TRUE(second.ok()) << second.status();
-  EXPECT_EQ(MappingKeys(first->run), reference_keys_);
-  EXPECT_EQ(MappingKeys(second->run), reference_keys_);
-  EXPECT_EQ(second->run.report.ToString(), reference_report_);
+  EXPECT_EQ(MappingKeys(*first), reference_keys_);
+  EXPECT_EQ(MappingKeys(*second), reference_keys_);
+  EXPECT_EQ(second->report.ToString(), reference_report_);
   size_t from_checkpoint = 0;
   for (const exec::UnitReport& unit : second->units) {
     if (unit.from_checkpoint) ++from_checkpoint;

@@ -15,7 +15,6 @@
 
 #include "datasets/examples.h"
 #include "exec/resilient_pipeline.h"
-#include "exec/supervisor.h"
 #include "obs/events.h"
 #include "obs/provenance.h"
 #include "util/json.h"
@@ -308,15 +307,15 @@ TEST(ProvenancePipelineTest, EveryExampleKeepsTheInvariantAtAnyJobs) {
         obs::ProvenanceRecorder recorder;
         exec::RunContext ctx;
         ctx.provenance = &recorder;
-        exec::SupervisorOptions options;
+        exec::ResilientPipelineOptions options;
         options.jobs = jobs;
-        auto supervised = exec::RunSupervisedPipeline(
+        auto supervised = exec::RunResilientPipeline(
             domain->source, domain->target, test_case.correspondences,
             options, ctx);
         ASSERT_TRUE(supervised.ok())
             << domain->name << "/" << test_case.name << ": "
             << supervised.status();
-        ExpectOneEmittedDerivationPerMapping(supervised->run, recorder);
+        ExpectOneEmittedDerivationPerMapping(*supervised, recorder);
       }
     }
   }
@@ -340,9 +339,9 @@ TEST(ProvenanceDeterminismTest, ExplainJsonIdenticalAcrossJobCounts) {
         obs::ProvenanceRecorder recorder;
         exec::RunContext ctx;
         ctx.provenance = &recorder;
-        exec::SupervisorOptions options;
+        exec::ResilientPipelineOptions options;
         options.jobs = jobs;
-        auto supervised = exec::RunSupervisedPipeline(
+        auto supervised = exec::RunResilientPipeline(
             domain->source, domain->target, test_case.correspondences,
             options, ctx);
         ASSERT_TRUE(supervised.ok())
@@ -375,9 +374,9 @@ TEST(ProvenanceDeterminismTest, SerialPipelineMatchesSupervisorExplain) {
   obs::ProvenanceRecorder supervised;
   exec::RunContext sup_ctx;
   sup_ctx.provenance = &supervised;
-  exec::SupervisorOptions options;
+  exec::ResilientPipelineOptions options;
   options.jobs = 4;
-  auto sup_run = exec::RunSupervisedPipeline(
+  auto sup_run = exec::RunResilientPipeline(
       domain->source, domain->target, domain->cases[0].correspondences,
       options, sup_ctx);
   ASSERT_TRUE(sup_run.ok()) << sup_run.status();

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "datasets/domains.h"
 #include "datasets/examples.h"
@@ -31,6 +33,118 @@ void ExpectWellFormedMappings(const exec::ResilientResult& result) {
     EXPECT_FALSE(m.target_table.empty());
     EXPECT_NE(m.tier, exec::DegradationTier::kFailed);
   }
+}
+
+/// Order-preserving fingerprint of a mapping set: tier + tgd text.
+std::vector<std::string> MappingKeys(const exec::ResilientResult& result) {
+  std::vector<std::string> keys;
+  for (const exec::ResilientMapping& m : result.mappings) {
+    keys.push_back(std::string(exec::TierName(m.tier)) + " " +
+                   m.tgd.ToString());
+  }
+  return keys;
+}
+
+std::vector<std::string> DiagnosticLines(const DiagnosticSink& sink) {
+  std::vector<std::string> lines;
+  for (const Diagnostic& d : sink.diagnostics()) lines.push_back(d.ToString());
+  return lines;
+}
+
+/// The run composed from its public pieces: PrepareResilientRun, then
+/// RunTableCascade for each group in sorted order with its quarantine
+/// notes prepended, then MappingMerger — an independent reference for
+/// what RunResilientPipeline (default options) must produce.
+Result<exec::ResilientResult> ComposedRun(
+    const eval::Domain& domain,
+    const std::vector<disc::Correspondence>& correspondences,
+    const exec::RunContext& ctx) {
+  auto prepared = exec::PrepareResilientRun(domain.source, domain.target,
+                                            correspondences, ctx);
+  if (!prepared.ok()) return prepared.status();
+  exec::ResilientResult result;
+  result.report.quarantined_correspondences =
+      prepared->quarantined_correspondences;
+  result.report.tables = std::move(prepared->quarantined_tables);
+  exec::MappingMerger merger(ctx);
+  for (const auto& [table, group] : prepared->groups) {
+    exec::TableWork work = exec::RunTableCascade(
+        domain.source, domain.target, table, group, {}, ctx);
+    const auto notes = prepared->quarantine_notes.find(table);
+    if (notes != prepared->quarantine_notes.end()) {
+      work.outcome.notes.insert(work.outcome.notes.begin(),
+                                notes->second.begin(), notes->second.end());
+    }
+    for (exec::ResilientMapping& mapping : work.mappings) {
+      merger.Emit(std::move(mapping));
+    }
+    result.report.tables.push_back(std::move(work.outcome));
+  }
+  result.mappings = std::move(merger.mappings());
+  return result;
+}
+
+/// RunResilientPipeline inline and on a pool must reproduce the composed
+/// reference: mappings, report and diagnostics, all in order.
+void ExpectMatchesComposedRun(
+    const eval::Domain& domain,
+    const std::vector<disc::Correspondence>& correspondences,
+    const std::string& label) {
+  DiagnosticSink reference_sink;
+  exec::RunContext reference_ctx;
+  reference_ctx.sink = &reference_sink;
+  auto reference = ComposedRun(domain, correspondences, reference_ctx);
+  ASSERT_TRUE(reference.ok()) << label << ": " << reference.status();
+  for (size_t jobs : {1u, 4u}) {
+    DiagnosticSink sink;
+    exec::RunContext ctx;
+    ctx.sink = &sink;
+    exec::ResilientPipelineOptions options;
+    options.jobs = jobs;
+    auto run = exec::RunResilientPipeline(domain.source, domain.target,
+                                          correspondences, options, ctx);
+    ASSERT_TRUE(run.ok()) << label << " jobs=" << jobs << ": " << run.status();
+    EXPECT_EQ(MappingKeys(*run), MappingKeys(*reference))
+        << label << " jobs=" << jobs;
+    EXPECT_EQ(run->report.ToString(), reference->report.ToString())
+        << label << " jobs=" << jobs;
+    EXPECT_EQ(DiagnosticLines(sink), DiagnosticLines(reference_sink))
+        << label << " jobs=" << jobs;
+  }
+}
+
+TEST(ResilientPipelineTest, AnyJobsCountMatchesTheComposedRun) {
+  using Builder = Result<eval::Domain> (*)();
+  const Builder builders[] = {
+      data::BuildBookstoreExample, data::BuildEmployeeIsaExample,
+      data::BuildPartOfExample, data::BuildProjectExample,
+      data::BuildSalesReifiedExample};
+  for (Builder build : builders) {
+    auto domain = build();
+    ASSERT_TRUE(domain.ok()) << domain.status();
+    for (const eval::TestCase& test_case : domain->cases) {
+      ExpectMatchesComposedRun(*domain, test_case.correspondences,
+                               domain->name + "/" + test_case.name);
+    }
+  }
+
+  // The University cases together: two target tables.
+  auto university = data::BuildUniversity();
+  ASSERT_TRUE(university.ok()) << university.status();
+  std::vector<disc::Correspondence> correspondences;
+  for (const eval::TestCase& c : university->cases) {
+    correspondences.insert(correspondences.end(), c.correspondences.begin(),
+                           c.correspondences.end());
+  }
+  ExpectMatchesComposedRun(*university, correspondences, "university");
+
+  // Quarantining: one dangling correspondence beside usable ones (a
+  // quarantine note on its table) and one whose whole table is unknown.
+  eval::Domain bookstore = Bookstore();
+  correspondences = bookstore.cases[0].correspondences;
+  correspondences.push_back({{"person", "zzz"}, {"hasBookSoldAt", "aname"}});
+  correspondences.push_back({{"person", "pname"}, {"ghosttown", "x"}});
+  ExpectMatchesComposedRun(bookstore, correspondences, "quarantine");
 }
 
 TEST(ResilientPipelineTest, UngovernedRunStaysAtFullSemanticTier) {

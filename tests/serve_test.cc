@@ -742,7 +742,32 @@ TEST(ServeTest, StatsReturnsLiveHistogramsMidLoad) {
   TestServer server({});
   ASSERT_TRUE(server.ok()) << server.start_error();
   ExpectOk(Call(server.port(), MapRequest("h1", "bookstore")));
-  auto stats = Call(server.port(), "{\"id\":\"s\",\"op\":\"stats\"}");
+
+  // A request's histograms are recorded after its response is written,
+  // so a stats call on another connection can overtake them: poll until
+  // all five show the map request (bounded at 2s).
+  const char* const names[] = {
+      "serve.queue_wait_ns", "serve.handle_ns", "serve.e2e_ns.map",
+      "serve.scenario_e2e_ns.bookstore", "serve.handle_miss_ns"};
+  auto all_recorded = [&names](const std::string& body) {
+    auto doc = json::Parse(body);
+    const json::Value* metrics = doc.ok() ? doc->Find("metrics") : nullptr;
+    const json::Value* hists =
+        metrics != nullptr ? metrics->Find("histograms") : nullptr;
+    if (hists == nullptr) return false;
+    for (const char* name : names) {
+      const json::Value* hist = hists->Find(name);
+      if (hist == nullptr || hist->GetInt("count") < 1) return false;
+    }
+    return true;
+  };
+  const std::string stats_request = "{\"id\":\"s\",\"op\":\"stats\"}";
+  auto stats = Call(server.port(), stats_request);
+  for (int i = 0; i < 200 && stats.ok() && !all_recorded(BodyOf(*stats));
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    stats = Call(server.port(), stats_request);
+  }
   ExpectOk(stats);
 
   auto parsed = json::Parse(BodyOf(*stats));
@@ -752,9 +777,7 @@ TEST(ServeTest, StatsReturnsLiveHistogramsMidLoad) {
   EXPECT_EQ(metrics->GetString("schema"), "semap.metrics.v1");
   const json::Value* hists = metrics->Find("histograms");
   ASSERT_NE(hists, nullptr);
-  for (const char* name :
-       {"serve.queue_wait_ns", "serve.handle_ns", "serve.e2e_ns.map",
-        "serve.scenario_e2e_ns.bookstore", "serve.handle_miss_ns"}) {
+  for (const char* name : names) {
     const json::Value* hist = hists->Find(name);
     ASSERT_NE(hist, nullptr) << "missing histogram " << name;
     EXPECT_GE(hist->GetInt("count"), 1) << name;

@@ -1,5 +1,6 @@
-// Supervised-execution tests: the worker pool must reproduce the serial
-// pipeline's output exactly (any --jobs=N, resumed or not), recover
+// Supervised-execution tests: RunResilientPipeline on a worker pool, or
+// with unit retry and the breaker on, must reproduce the default inline
+// run's output exactly (any jobs count, resumed or not), recover
 // transient semantic losses by retrying, trip the circuit breaker to the
 // RIC tier under sustained failure, and survive a simulated mid-run kill
 // through the checkpoint journal.
@@ -19,11 +20,13 @@
 #include "datasets/domains.h"
 #include "datasets/examples.h"
 #include "exec/checkpoint.h"
-#include "exec/supervisor.h"
+#include "exec/resilient_pipeline.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
+#include "store/mapping_store.h"
+#include "util/crc32.h"
 #include "util/json.h"
 
 namespace semap {
@@ -78,21 +81,25 @@ TEST(SupervisorTest, JobsOneMatchesSerialPipeline) {
                                            domain.cases[0].correspondences);
   ASSERT_TRUE(serial.ok()) << serial.status();
 
-  exec::SupervisorOptions options;
+  // The settings semap_map's supervision flags add (--jobs=1): unit
+  // retry and the breaker change nothing on a fault-free run.
+  exec::ResilientPipelineOptions options;
   options.jobs = 1;
-  auto supervised = exec::RunSupervisedPipeline(
+  options.unit_attempts = 2;
+  options.breaker_threshold = 3;
+  auto supervised = exec::RunResilientPipeline(
       domain.source, domain.target, domain.cases[0].correspondences, options);
   ASSERT_TRUE(supervised.ok()) << supervised.status();
 
-  EXPECT_EQ(MappingKeys(supervised->run), MappingKeys(*serial));
-  ASSERT_EQ(supervised->run.report.tables.size(),
+  EXPECT_EQ(MappingKeys(*supervised), MappingKeys(*serial));
+  ASSERT_EQ(supervised->report.tables.size(),
             serial->report.tables.size());
   for (size_t i = 0; i < serial->report.tables.size(); ++i) {
-    EXPECT_EQ(supervised->run.report.tables[i].target_table,
+    EXPECT_EQ(supervised->report.tables[i].target_table,
               serial->report.tables[i].target_table);
-    EXPECT_EQ(supervised->run.report.tables[i].tier,
+    EXPECT_EQ(supervised->report.tables[i].tier,
               serial->report.tables[i].tier);
-    EXPECT_EQ(supervised->run.report.tables[i].notes,
+    EXPECT_EQ(supervised->report.tables[i].notes,
               serial->report.tables[i].notes);
   }
   ASSERT_EQ(supervised->units.size(), 1u);
@@ -116,17 +123,17 @@ TEST(SupervisorTest, ParallelJobsMatchSerialAcrossAllExamples) {
       ASSERT_TRUE(serial.ok())
           << domain->name << "/" << test_case.name << ": " << serial.status();
       for (size_t jobs : {1u, 4u}) {
-        exec::SupervisorOptions options;
+        exec::ResilientPipelineOptions options;
         options.jobs = jobs;
         auto supervised =
-            exec::RunSupervisedPipeline(domain->source, domain->target,
-                                        test_case.correspondences, options);
+            exec::RunResilientPipeline(domain->source, domain->target,
+                                       test_case.correspondences, options);
         ASSERT_TRUE(supervised.ok())
             << domain->name << "/" << test_case.name << " jobs=" << jobs
             << ": " << supervised.status();
-        EXPECT_EQ(MappingKeys(supervised->run), MappingKeys(*serial))
+        EXPECT_EQ(MappingKeys(*supervised), MappingKeys(*serial))
             << domain->name << "/" << test_case.name << " jobs=" << jobs;
-        EXPECT_EQ(supervised->run.report.ToString(),
+        EXPECT_EQ(supervised->report.ToString(),
                   serial->report.ToString())
             << domain->name << "/" << test_case.name << " jobs=" << jobs;
       }
@@ -142,13 +149,13 @@ TEST(SupervisorTest, ParallelMultiTableRunMatchesSerial) {
   ASSERT_TRUE(serial.ok()) << serial.status();
   ASSERT_EQ(serial->report.tables.size(), 2u);
 
-  exec::SupervisorOptions options;
+  exec::ResilientPipelineOptions options;
   options.jobs = 4;
-  auto supervised = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                                correspondences, options);
+  auto supervised = exec::RunResilientPipeline(domain.source, domain.target,
+                                               correspondences, options);
   ASSERT_TRUE(supervised.ok()) << supervised.status();
-  EXPECT_EQ(MappingKeys(supervised->run), MappingKeys(*serial));
-  EXPECT_EQ(supervised->run.report.ToString(), serial->report.ToString());
+  EXPECT_EQ(MappingKeys(*supervised), MappingKeys(*serial));
+  EXPECT_EQ(supervised->report.ToString(), serial->report.ToString());
   EXPECT_EQ(supervised->units.size(), 2u);
 }
 
@@ -177,12 +184,12 @@ TEST(SupervisorTest, ObservabilityIsDeterministicAcrossJobCounts) {
         exec::RunContext ctx;
         ctx.tracer = &tracer;
         ctx.metrics = &metrics;
-        exec::SupervisorOptions options;
+        exec::ResilientPipelineOptions options;
         options.jobs = jobs;
         auto supervised =
-            exec::RunSupervisedPipeline(domain->source, domain->target,
-                                        test_case.correspondences, options,
-                                        ctx);
+            exec::RunResilientPipeline(domain->source, domain->target,
+                                       test_case.correspondences, options,
+                                       ctx);
         ASSERT_TRUE(supervised.ok())
             << domain->name << "/" << test_case.name << " jobs=" << jobs
             << ": " << supervised.status();
@@ -221,9 +228,9 @@ TEST(SupervisorTest, EventStreamCoversTheRunAndStaysOrdered) {
     ASSERT_TRUE(events.ok());
     exec::RunContext ctx;
     ctx.events = &events;
-    exec::SupervisorOptions options;
+    exec::ResilientPipelineOptions options;
     options.jobs = 4;
-    auto supervised = exec::RunSupervisedPipeline(
+    auto supervised = exec::RunResilientPipeline(
         domain.source, domain.target, domain.cases[0].correspondences,
         options, ctx);
     ASSERT_TRUE(supervised.ok()) << supervised.status();
@@ -248,22 +255,47 @@ TEST(SupervisorTest, EventStreamCoversTheRunAndStaysOrdered) {
   }
 }
 
+TEST(SupervisorTest, QueueWaitEndsWhenTheUnitIsClaimed) {
+  // supervisor.queue_wait is how long a unit waited for a worker, from
+  // the start of dispatch to its claim. A one-table run claims its unit
+  // at once, so the wait is shorter than the table's own cascade.
+  eval::Domain domain = Bookstore();
+  obs::Tracer tracer;
+  obs::Metrics metrics;
+  exec::RunContext ctx;
+  ctx.tracer = &tracer;
+  ctx.metrics = &metrics;
+  auto run = exec::RunResilientPipeline(domain.source, domain.target,
+                                        domain.cases[0].correspondences, {},
+                                        ctx);
+  ASSERT_TRUE(run.ok()) << run.status();
+  const auto wait = metrics.histograms().find("supervisor.queue_wait");
+  ASSERT_NE(wait, metrics.histograms().end());
+  ASSERT_EQ(wait->second.count, 1);
+  int64_t cascade_ns = -1;
+  for (const obs::SpanRecord& span : tracer.spans()) {
+    if (span.name == "cascade") cascade_ns = span.duration_ns;
+  }
+  ASSERT_GT(cascade_ns, 0);
+  EXPECT_LT(wait->second.max_ns, cascade_ns);
+}
+
 TEST(SupervisorTest, TransientFaultIsRetriedAndRecovers) {
   eval::Domain domain = Bookstore();
-  exec::SupervisorOptions options;
+  exec::ResilientPipelineOptions options;
   // The injected fault afflicts only the first attempt of the unit; the
   // retry runs fault-free and must recover full semantic quality.
-  options.pipeline.fault_after = 0;
+  options.fault_after = 0;
   options.fault_attempts = 1;
   options.unit_attempts = 2;
   options.backoff = InstantBackoff();
-  auto run = exec::RunSupervisedPipeline(
+  auto run = exec::RunResilientPipeline(
       domain.source, domain.target, domain.cases[0].correspondences, options);
   ASSERT_TRUE(run.ok()) << run.status();
-  ASSERT_EQ(run->run.report.tables.size(), 1u);
-  EXPECT_EQ(run->run.report.tables[0].tier,
+  ASSERT_EQ(run->report.tables.size(), 1u);
+  EXPECT_EQ(run->report.tables[0].tier,
             exec::DegradationTier::kSemanticFull);
-  EXPECT_FALSE(run->run.mappings.empty());
+  EXPECT_FALSE(run->mappings.empty());
   ASSERT_EQ(run->units.size(), 1u);
   EXPECT_EQ(run->units[0].attempts, 2u);
   ASSERT_EQ(run->units[0].retry_delays_ms.size(), 1u);
@@ -273,53 +305,53 @@ TEST(SupervisorTest, TransientFaultIsRetriedAndRecovers) {
   auto serial = exec::RunResilientPipeline(domain.source, domain.target,
                                            domain.cases[0].correspondences);
   ASSERT_TRUE(serial.ok()) << serial.status();
-  EXPECT_EQ(MappingKeys(run->run), MappingKeys(*serial));
+  EXPECT_EQ(MappingKeys(*run), MappingKeys(*serial));
 }
 
 TEST(SupervisorTest, PersistentFaultExhaustsRetriesAndLandsOnRic) {
   eval::Domain domain = Bookstore();
-  exec::SupervisorOptions options;
+  exec::ResilientPipelineOptions options;
   // fault_attempts = 0: the fault never clears, every attempt loses the
   // semantic tiers. The unit must burn all attempts, then keep the RIC
   // lifeline answer rather than fail.
-  options.pipeline.fault_after = 0;
+  options.fault_after = 0;
   options.unit_attempts = 3;
   options.backoff = InstantBackoff();
   options.breaker_threshold = 0;  // isolate retry behavior from the breaker
-  auto run = exec::RunSupervisedPipeline(
+  auto run = exec::RunResilientPipeline(
       domain.source, domain.target, domain.cases[0].correspondences, options);
   ASSERT_TRUE(run.ok()) << run.status();
-  ASSERT_EQ(run->run.report.tables.size(), 1u);
-  EXPECT_EQ(run->run.report.tables[0].tier,
+  ASSERT_EQ(run->report.tables.size(), 1u);
+  EXPECT_EQ(run->report.tables[0].tier,
             exec::DegradationTier::kRicBaseline);
-  EXPECT_FALSE(run->run.mappings.empty());
+  EXPECT_FALSE(run->mappings.empty());
   ASSERT_EQ(run->units.size(), 1u);
   EXPECT_EQ(run->units[0].attempts, 3u);
   EXPECT_EQ(run->retries, 2u);
-  EXPECT_TRUE(run->run.report.AnyAtBaselineOrWorse());
+  EXPECT_TRUE(run->report.AnyAtBaselineOrWorse());
 }
 
 TEST(SupervisorTest, BreakerTripsRunDownToRicTier) {
   std::vector<disc::Correspondence> correspondences;
   eval::Domain domain = University(&correspondences);
-  exec::SupervisorOptions options;
-  options.pipeline.fault_after = 0;  // persistent: every unit loses semantic
+  exec::ResilientPipelineOptions options;
+  options.fault_after = 0;  // persistent: every unit loses semantic
   options.unit_attempts = 1;
   options.breaker_threshold = 1;  // first loss trips the breaker
   options.jobs = 1;               // deterministic dispatch order
-  auto run = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                         correspondences, options);
+  auto run = exec::RunResilientPipeline(domain.source, domain.target,
+                                        correspondences, options);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_TRUE(run->breaker_tripped);
-  ASSERT_EQ(run->run.report.tables.size(), 2u);
-  for (const exec::TableOutcome& outcome : run->run.report.tables) {
+  ASSERT_EQ(run->report.tables.size(), 2u);
+  for (const exec::TableOutcome& outcome : run->report.tables) {
     EXPECT_EQ(outcome.tier, exec::DegradationTier::kRicBaseline)
         << outcome.target_table;
   }
   // The unit dispatched after the trip skipped the semantic tiers and
   // says so; post-trip units are no longer "failures", so no retries.
   bool saw_breaker_note = false;
-  for (const exec::TableOutcome& outcome : run->run.report.tables) {
+  for (const exec::TableOutcome& outcome : run->report.tables) {
     for (const std::string& note : outcome.notes) {
       if (note.find("circuit breaker open") != std::string::npos) {
         saw_breaker_note = true;
@@ -335,8 +367,8 @@ TEST(SupervisorTest, CancelMidRunWithParallelJobsStopsCleanlyAndResumes) {
   const std::string journal = TempJournalPath("cancel_mid_jobs4");
   std::remove(journal.c_str());
 
-  auto full = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                          correspondences, {});
+  auto full = exec::RunResilientPipeline(domain.source, domain.target,
+                                         correspondences, {});
   ASSERT_TRUE(full.ok()) << full.status();
 
   // The flag rises from another thread while the pool is dispatching —
@@ -348,12 +380,12 @@ TEST(SupervisorTest, CancelMidRunWithParallelJobsStopsCleanlyAndResumes) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     cancel.store(true);
   });
-  exec::SupervisorOptions options;
+  exec::ResilientPipelineOptions options;
   options.checkpoint_path = journal;
   options.jobs = 4;
   options.cancel = &cancel;
-  auto run = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                         correspondences, options);
+  auto run = exec::RunResilientPipeline(domain.source, domain.target,
+                                        correspondences, options);
   trigger.join();
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_LE(run->units.size(), 2u);
@@ -362,16 +394,16 @@ TEST(SupervisorTest, CancelMidRunWithParallelJobsStopsCleanlyAndResumes) {
   }
   EXPECT_TRUE(run->journal_warning.empty()) << run->journal_warning;
 
-  exec::SupervisorOptions resume_opts;
+  exec::ResilientPipelineOptions resume_opts;
   resume_opts.checkpoint_path = journal;
   resume_opts.resume = true;
-  auto resumed = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                             correspondences, resume_opts);
+  auto resumed = exec::RunResilientPipeline(domain.source, domain.target,
+                                            correspondences, resume_opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_FALSE(resumed->interrupted);
   ASSERT_EQ(resumed->units.size(), 2u);
-  EXPECT_EQ(MappingKeys(resumed->run), MappingKeys(full->run));
-  EXPECT_EQ(resumed->run.report.ToString(), full->run.report.ToString());
+  EXPECT_EQ(MappingKeys(*resumed), MappingKeys(*full));
+  EXPECT_EQ(resumed->report.ToString(), full->report.ToString());
   std::remove(journal.c_str());
 }
 
@@ -382,29 +414,29 @@ TEST(SupervisorTest, HaltAndResumeReachTheSameMappingSet) {
   std::remove(journal.c_str());
 
   // Reference: one uninterrupted run.
-  auto full = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                          correspondences, {});
+  auto full = exec::RunResilientPipeline(domain.source, domain.target,
+                                         correspondences, {});
   ASSERT_TRUE(full.ok()) << full.status();
   ASSERT_EQ(full->units.size(), 2u);
 
   // Simulated kill after the first completed unit.
-  exec::SupervisorOptions halted_opts;
+  exec::ResilientPipelineOptions halted_opts;
   halted_opts.checkpoint_path = journal;
   halted_opts.halt_after_units = 1;
-  auto halted = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                            correspondences, halted_opts);
+  auto halted = exec::RunResilientPipeline(domain.source, domain.target,
+                                           correspondences, halted_opts);
   ASSERT_TRUE(halted.ok()) << halted.status();
   EXPECT_TRUE(halted->halted);
   EXPECT_EQ(halted->units.size(), 1u);
-  EXPECT_EQ(halted->run.report.tables.size(), 1u);
+  EXPECT_EQ(halted->report.tables.size(), 1u);
 
   // Resume: only the unfinished table re-executes; the final mapping set
   // and report are identical to the uninterrupted run.
-  exec::SupervisorOptions resume_opts;
+  exec::ResilientPipelineOptions resume_opts;
   resume_opts.checkpoint_path = journal;
   resume_opts.resume = true;
-  auto resumed = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                             correspondences, resume_opts);
+  auto resumed = exec::RunResilientPipeline(domain.source, domain.target,
+                                            correspondences, resume_opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_TRUE(resumed->journal_warning.empty()) << resumed->journal_warning;
   EXPECT_FALSE(resumed->halted);
@@ -414,8 +446,8 @@ TEST(SupervisorTest, HaltAndResumeReachTheSameMappingSet) {
     if (unit.from_checkpoint) ++from_checkpoint;
   }
   EXPECT_EQ(from_checkpoint, 1u);
-  EXPECT_EQ(MappingKeys(resumed->run), MappingKeys(full->run));
-  EXPECT_EQ(resumed->run.report.ToString(), full->run.report.ToString());
+  EXPECT_EQ(MappingKeys(*resumed), MappingKeys(*full));
+  EXPECT_EQ(resumed->report.ToString(), full->report.ToString());
   std::remove(journal.c_str());
 }
 
@@ -423,9 +455,9 @@ TEST(SupervisorTest, ResumeAgainstDifferentInputsIsRefused) {
   eval::Domain domain = Bookstore();
   const std::string journal = TempJournalPath("fingerprint_mismatch");
   std::remove(journal.c_str());
-  exec::SupervisorOptions checkpoint_opts;
+  exec::ResilientPipelineOptions checkpoint_opts;
   checkpoint_opts.checkpoint_path = journal;
-  auto first = exec::RunSupervisedPipeline(
+  auto first = exec::RunResilientPipeline(
       domain.source, domain.target, domain.cases[0].correspondences,
       checkpoint_opts);
   ASSERT_TRUE(first.ok()) << first.status();
@@ -434,11 +466,11 @@ TEST(SupervisorTest, ResumeAgainstDifferentInputsIsRefused) {
   // refuse the resume instead of merging stale mappings.
   std::vector<disc::Correspondence> fewer = {
       domain.cases[0].correspondences[0]};
-  exec::SupervisorOptions resume_opts;
+  exec::ResilientPipelineOptions resume_opts;
   resume_opts.checkpoint_path = journal;
   resume_opts.resume = true;
-  auto resumed = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                             fewer, resume_opts);
+  auto resumed = exec::RunResilientPipeline(domain.source, domain.target,
+                                            fewer, resume_opts);
   EXPECT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kInvalidArgument);
   std::remove(journal.c_str());
@@ -447,18 +479,18 @@ TEST(SupervisorTest, ResumeAgainstDifferentInputsIsRefused) {
 TEST(SupervisorTest, UnitDeadlineNeverCrashesTheRun) {
   std::vector<disc::Correspondence> correspondences;
   eval::Domain domain = University(&correspondences);
-  exec::SupervisorOptions options;
+  exec::ResilientPipelineOptions options;
   options.jobs = 2;
   options.unit_deadline_ms = 1;  // watchdog cancels almost immediately
   options.unit_attempts = 1;
-  auto run = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                         correspondences, options);
+  auto run = exec::RunResilientPipeline(domain.source, domain.target,
+                                        correspondences, options);
   // The cancellation may land anywhere (or nowhere, on a fast machine):
   // whatever happens, the run must come back clean with an explained
   // tier per table and well-formed mappings.
   ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(run->run.report.tables.size(), 2u);
-  for (const exec::ResilientMapping& m : run->run.mappings) {
+  EXPECT_EQ(run->report.tables.size(), 2u);
+  for (const exec::ResilientMapping& m : run->mappings) {
     EXPECT_FALSE(m.tgd.source.body.empty());
     EXPECT_FALSE(m.tgd.target.body.empty());
   }
@@ -466,15 +498,15 @@ TEST(SupervisorTest, UnitDeadlineNeverCrashesTheRun) {
 
 TEST(CheckpointTest, UnitLineRoundTrips) {
   eval::Domain domain = Bookstore();
-  auto run = exec::RunSupervisedPipeline(
+  auto run = exec::RunResilientPipeline(
       domain.source, domain.target, domain.cases[0].correspondences, {});
   ASSERT_TRUE(run.ok()) << run.status();
-  ASSERT_FALSE(run->run.mappings.empty());
+  ASSERT_FALSE(run->mappings.empty());
 
   exec::CheckpointedUnit unit;
-  unit.outcome = run->run.report.tables[0];
+  unit.outcome = run->report.tables[0];
   unit.outcome.notes = {"semantic-full (attempt 1): note with \"quotes\""};
-  unit.mappings = run->run.mappings;
+  unit.mappings = run->mappings;
 
   const std::string line = exec::SerializeCheckpointUnit(unit);
   auto parsed = exec::ParseCheckpointUnit(line);
@@ -526,8 +558,8 @@ TEST(SupervisorTest, ResumeWithExplainReproducesTheExplainOutput) {
   obs::ProvenanceRecorder full_recorder;
   exec::RunContext full_ctx;
   full_ctx.provenance = &full_recorder;
-  auto full = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                          correspondences, {}, full_ctx);
+  auto full = exec::RunResilientPipeline(domain.source, domain.target,
+                                         correspondences, {}, full_ctx);
   ASSERT_TRUE(full.ok()) << full.status();
   const std::string reference = full_recorder.ToJson();
   ASSERT_NE(reference.find("derivations"), std::string::npos);
@@ -536,24 +568,24 @@ TEST(SupervisorTest, ResumeWithExplainReproducesTheExplainOutput) {
   obs::ProvenanceRecorder halted_recorder;
   exec::RunContext halted_ctx;
   halted_ctx.provenance = &halted_recorder;
-  exec::SupervisorOptions halted_opts;
+  exec::ResilientPipelineOptions halted_opts;
   halted_opts.checkpoint_path = journal;
   halted_opts.halt_after_units = 1;
-  auto halted = exec::RunSupervisedPipeline(
+  auto halted = exec::RunResilientPipeline(
       domain.source, domain.target, correspondences, halted_opts, halted_ctx);
   ASSERT_TRUE(halted.ok()) << halted.status();
   ASSERT_TRUE(halted->halted);
 
   // … and the resumed run's explain output must be byte-identical to
   // the uninterrupted run's: checkpointed tables restore their journaled
-  // provenance instead of degrading to origin-"checkpoint" stubs.
+  // provenance.
   obs::ProvenanceRecorder resumed_recorder;
   exec::RunContext resumed_ctx;
   resumed_ctx.provenance = &resumed_recorder;
-  exec::SupervisorOptions resume_opts;
+  exec::ResilientPipelineOptions resume_opts;
   resume_opts.checkpoint_path = journal;
   resume_opts.resume = true;
-  auto resumed = exec::RunSupervisedPipeline(
+  auto resumed = exec::RunResilientPipeline(
       domain.source, domain.target, correspondences, resume_opts, resumed_ctx);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_TRUE(resumed->journal_warning.empty()) << resumed->journal_warning;
@@ -573,26 +605,26 @@ TEST(SupervisorTest, ResumeWithExplainWorksWhenTheHaltedRunHadNoRecorder) {
   obs::ProvenanceRecorder full_recorder;
   exec::RunContext full_ctx;
   full_ctx.provenance = &full_recorder;
-  auto full = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                          correspondences, {}, full_ctx);
+  auto full = exec::RunResilientPipeline(domain.source, domain.target,
+                                         correspondences, {}, full_ctx);
   ASSERT_TRUE(full.ok()) << full.status();
   const std::string reference = full_recorder.ToJson();
 
-  exec::SupervisorOptions halted_opts;
+  exec::ResilientPipelineOptions halted_opts;
   halted_opts.checkpoint_path = journal;
   halted_opts.halt_after_units = 1;
-  auto halted = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                            correspondences, halted_opts, {});
+  auto halted = exec::RunResilientPipeline(domain.source, domain.target,
+                                           correspondences, halted_opts, {});
   ASSERT_TRUE(halted.ok()) << halted.status();
   ASSERT_TRUE(halted->halted);
 
   obs::ProvenanceRecorder resumed_recorder;
   exec::RunContext resumed_ctx;
   resumed_ctx.provenance = &resumed_recorder;
-  exec::SupervisorOptions resume_opts;
+  exec::ResilientPipelineOptions resume_opts;
   resume_opts.checkpoint_path = journal;
   resume_opts.resume = true;
-  auto resumed = exec::RunSupervisedPipeline(
+  auto resumed = exec::RunResilientPipeline(
       domain.source, domain.target, correspondences, resume_opts, resumed_ctx);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed_recorder.ToJson(), reference);
@@ -609,46 +641,46 @@ TEST(SupervisorTest, CancelFlagInterruptsBeforeDispatchingUnits) {
   // setup. No unit may be dispatched; the run returns interrupted, with
   // a valid (header-only) checkpoint journal.
   std::atomic<bool> cancel{true};
-  exec::SupervisorOptions options;
+  exec::ResilientPipelineOptions options;
   options.checkpoint_path = journal;
   options.cancel = &cancel;
-  auto run = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                         correspondences, options);
+  auto run = exec::RunResilientPipeline(domain.source, domain.target,
+                                        correspondences, options);
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_TRUE(run->interrupted);
   EXPECT_TRUE(run->units.empty());
-  EXPECT_TRUE(run->run.mappings.empty());
+  EXPECT_TRUE(run->mappings.empty());
   EXPECT_TRUE(run->journal_warning.empty()) << run->journal_warning;
 
   // The rerun resumes against that journal and produces the full result.
-  exec::SupervisorOptions resume_opts;
+  exec::ResilientPipelineOptions resume_opts;
   resume_opts.checkpoint_path = journal;
   resume_opts.resume = true;
-  auto resumed = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                             correspondences, resume_opts);
+  auto resumed = exec::RunResilientPipeline(domain.source, domain.target,
+                                            correspondences, resume_opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_FALSE(resumed->interrupted);
   ASSERT_EQ(resumed->units.size(), 2u);
 
-  auto full = exec::RunSupervisedPipeline(domain.source, domain.target,
-                                          correspondences, {});
+  auto full = exec::RunResilientPipeline(domain.source, domain.target,
+                                         correspondences, {});
   ASSERT_TRUE(full.ok()) << full.status();
-  EXPECT_EQ(MappingKeys(resumed->run), MappingKeys(full->run));
-  EXPECT_EQ(resumed->run.report.ToString(), full->run.report.ToString());
+  EXPECT_EQ(MappingKeys(*resumed), MappingKeys(*full));
+  EXPECT_EQ(resumed->report.ToString(), full->report.ToString());
   std::remove(journal.c_str());
 }
 
 TEST(CheckpointTest, TruncatedButValidJsonLineFailsItsCrc) {
   eval::Domain domain = Bookstore();
-  auto run = exec::RunSupervisedPipeline(
+  auto run = exec::RunResilientPipeline(
       domain.source, domain.target, domain.cases[0].correspondences, {});
   ASSERT_TRUE(run.ok()) << run.status();
-  ASSERT_FALSE(run->run.report.tables.empty());
+  ASSERT_FALSE(run->report.tables.empty());
 
   exec::CheckpointedUnit unit;
-  unit.outcome = run->run.report.tables[0];
+  unit.outcome = run->report.tables[0];
   unit.outcome.notes = {"first note", "second note"};
-  unit.mappings = run->run.mappings;
+  unit.mappings = run->mappings;
   const std::string line = exec::SerializeCheckpointUnit(unit);
 
   // The nasty torn-tail shape of a plain JSON-lines file: a truncation
@@ -684,13 +716,13 @@ TEST(CheckpointTest, PreJournalCheckpointIsRefusedOnResume) {
   const std::string journal = TempJournalPath("pre_journal");
   std::remove(journal.c_str());
 
-  auto full = exec::RunSupervisedPipeline(
+  auto full = exec::RunResilientPipeline(
       domain.source, domain.target, domain.cases[0].correspondences, {});
   ASSERT_TRUE(full.ok()) << full.status();
-  ASSERT_FALSE(full->run.report.tables.empty());
+  ASSERT_FALSE(full->report.tables.empty());
   exec::CheckpointedUnit unit;
-  unit.outcome = full->run.report.tables[0];
-  unit.mappings = full->run.mappings;
+  unit.outcome = full->report.tables[0];
+  unit.mappings = full->mappings;
 
   // Write the pre-journal JSON-lines format by hand: header line, then
   // one unit per line.
@@ -714,10 +746,10 @@ TEST(CheckpointTest, PreJournalCheckpointIsRefusedOnResume) {
 
   // Only semap.journal.v1 stores resume: the file is refused before
   // anything is written to it.
-  exec::SupervisorOptions resume_opts;
+  exec::ResilientPipelineOptions resume_opts;
   resume_opts.checkpoint_path = journal;
   resume_opts.resume = true;
-  auto resumed = exec::RunSupervisedPipeline(
+  auto resumed = exec::RunResilientPipeline(
       domain.source, domain.target, domain.cases[0].correspondences,
       resume_opts);
   ASSERT_FALSE(resumed.ok());
@@ -729,13 +761,84 @@ TEST(CheckpointTest, PreJournalCheckpointIsRefusedOnResume) {
   std::remove(journal.c_str());
 }
 
+/// `line` without its "prov" member, its crc member recomputed: a unit
+/// line whose checksums hold but which carries no provenance.
+std::string WithoutProvenance(const std::string& line) {
+  const std::string body = line.substr(0, line.find(",\"prov\":")) + "}";
+  return body.substr(0, body.size() - 1) + ",\"crc\":\"" +
+         Crc32Hex(Crc32(body)) + "\"}";
+}
+
+TEST(CheckpointTest, UnitWithoutProvenanceIsDroppedAndRecomputed) {
+  std::vector<disc::Correspondence> correspondences;
+  eval::Domain domain = University(&correspondences);
+  const std::string written = TempJournalPath("prov_written");
+  const std::string journal = TempJournalPath("prov_less");
+  std::remove(written.c_str());
+  std::remove(journal.c_str());
+
+  obs::ProvenanceRecorder full_recorder;
+  exec::RunContext full_ctx;
+  full_ctx.provenance = &full_recorder;
+  exec::ResilientPipelineOptions checkpoint_opts;
+  checkpoint_opts.checkpoint_path = written;
+  auto full = exec::RunResilientPipeline(domain.source, domain.target,
+                                        correspondences, checkpoint_opts,
+                                        full_ctx);
+  ASSERT_TRUE(full.ok()) << full.status();
+  const std::string reference = full_recorder.ToJson();
+
+  // Rebuild the journal unit by unit, the first unit without "prov"; its
+  // frame and line checksums are both valid.
+  const uint64_t fingerprint =
+      exec::ScenarioFingerprint(domain.source, domain.target, correspondences);
+  auto units = store::MappingStore::Open(written, fingerprint);
+  ASSERT_TRUE(units.ok()) << units.status();
+  ASSERT_EQ(units->units().size(), 2u);
+  const std::string stripped_table = units->units().begin()->first;
+  {
+    auto rebuilt = store::MappingStore::Create(journal, fingerprint);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+    ASSERT_TRUE(rebuilt->PutMeta("format", exec::kCheckpointSchema).ok());
+    for (const auto& [table, line] : units->units()) {
+      const std::string unit_line =
+          table == stripped_table ? WithoutProvenance(line) : line;
+      ASSERT_TRUE(rebuilt->PutUnit(table, unit_line).ok());
+    }
+  }
+
+  // Resume drops the provenance-less unit and recomputes its table: the
+  // explain output matches the uninterrupted run's byte for byte.
+  obs::ProvenanceRecorder resumed_recorder;
+  exec::RunContext resumed_ctx;
+  resumed_ctx.provenance = &resumed_recorder;
+  exec::ResilientPipelineOptions resume_opts;
+  resume_opts.checkpoint_path = journal;
+  resume_opts.resume = true;
+  auto resumed = exec::RunResilientPipeline(
+      domain.source, domain.target, correspondences, resume_opts, resumed_ctx);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_NE(resumed->journal_warning.find(
+                "dropped unreadable unit for table '" + stripped_table + "'"),
+            std::string::npos)
+      << resumed->journal_warning;
+  ASSERT_EQ(resumed->units.size(), 2u);
+  for (const exec::UnitReport& unit : resumed->units) {
+    EXPECT_EQ(unit.from_checkpoint, unit.table != stripped_table)
+        << unit.table;
+  }
+  EXPECT_EQ(resumed_recorder.ToJson(), reference);
+  std::remove(written.c_str());
+  std::remove(journal.c_str());
+}
+
 TEST(CheckpointTest, TornTrailingLineIsDroppedWithWarning) {
   eval::Domain domain = Bookstore();
   const std::string journal = TempJournalPath("torn_tail");
   std::remove(journal.c_str());
-  exec::SupervisorOptions checkpoint_opts;
+  exec::ResilientPipelineOptions checkpoint_opts;
   checkpoint_opts.checkpoint_path = journal;
-  auto first = exec::RunSupervisedPipeline(
+  auto first = exec::RunResilientPipeline(
       domain.source, domain.target, domain.cases[0].correspondences,
       checkpoint_opts);
   ASSERT_TRUE(first.ok()) << first.status();
@@ -747,10 +850,10 @@ TEST(CheckpointTest, TornTrailingLineIsDroppedWithWarning) {
     std::fputs("{\"record\":\"unit\",\"table\":\"tr", f);
     std::fclose(f);
   }
-  exec::SupervisorOptions resume_opts;
+  exec::ResilientPipelineOptions resume_opts;
   resume_opts.checkpoint_path = journal;
   resume_opts.resume = true;
-  auto resumed = exec::RunSupervisedPipeline(
+  auto resumed = exec::RunResilientPipeline(
       domain.source, domain.target, domain.cases[0].correspondences,
       resume_opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status();

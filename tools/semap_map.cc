@@ -17,13 +17,15 @@
 // artifacts quarantined with coded diagnostics) and the DegradationReport
 // is printed after the mappings.
 //
-// --jobs / --unit-deadline-ms / --retry-seed / --checkpoint / --resume
-// run the cascade on the supervised worker pool (exec/supervisor.h):
-// per-table units with retry under seeded backoff, a watchdog-enforced
-// per-unit deadline, a circuit breaker down to the RIC tier, and a
-// crash-safe checkpoint journal that --resume picks up to skip finished
-// tables. Any of these flags implies --resilient; plain --resilient
-// stays on the serial path and its output is byte-identical to before.
+// Every resilient run goes through exec::RunResilientPipeline, one
+// supervised unit per target table. --jobs / --unit-deadline-ms /
+// --retry-seed / --checkpoint / --resume configure that supervision: a
+// worker pool, unit retry under seeded backoff (two attempts per unit), a
+// watchdog-enforced per-unit deadline, a circuit breaker down to the RIC
+// tier (after three consecutive semantic losses), and a crash-safe
+// checkpoint journal that --resume picks up to skip finished tables. Any
+// of these flags implies --resilient and prints a supervisor summary;
+// plain --resilient runs each unit once, inline, with no breaker.
 //
 // --lint only loads the scenario fail-soft and prints the collected
 // diagnostics; no mappings are generated.
@@ -74,7 +76,6 @@
 #include "store/env.h"
 #include "datasets/builder_util.h"
 #include "exec/resilient_pipeline.h"
-#include "exec/supervisor.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -132,7 +133,7 @@ void PrintUsage(FILE* out, const char* prog) {
 }
 
 // Graceful-shutdown flag, set from the signal handler and polled by the
-// supervisor's monitor thread. The first SIGINT/SIGTERM requests a
+// pipeline's monitor thread. The first SIGINT/SIGTERM requests a
 // cooperative stop (flush the checkpoint journal, exit 4); a second one
 // gives up on cooperation and exits with the conventional 128+sig.
 std::atomic<bool> g_shutdown{false};
@@ -238,76 +239,40 @@ int RunPipeline(char** argv, const Options& opts, const exec::RunContext& ctx) {
     exec::ResilientPipelineOptions pipeline_opts;
     pipeline_opts.deadline_ms = opts.deadline_ms;
     pipeline_opts.max_steps = opts.max_steps;
+    pipeline_opts.jobs = static_cast<size_t>(opts.jobs);
+    pipeline_opts.unit_deadline_ms = opts.unit_deadline_ms;
+    pipeline_opts.backoff.seed = opts.retry_seed;
+    pipeline_opts.checkpoint_path = opts.checkpoint_path;
+    pipeline_opts.resume = opts.resume;
+    pipeline_opts.io_env = opts.io_env;
+    if (opts.supervised) {
+      // Supervision flags also turn on unit retry, the circuit breaker
+      // and graceful shutdown.
+      pipeline_opts.unit_attempts = 2;
+      pipeline_opts.breaker_threshold = 3;
+      pipeline_opts.cancel = &g_shutdown;
+    }
     exec::RunContext run_ctx = ctx;
     run_ctx.sink = &sink;
     const size_t load_diags = sink.diagnostics().size();
-    exec::ResilientResult run;
-    std::string supervisor_summary;
-    bool interrupted = false;
-    if (opts.supervised) {
-      exec::SupervisorOptions sup_opts;
-      sup_opts.pipeline = pipeline_opts;
-      sup_opts.jobs = static_cast<size_t>(opts.jobs);
-      sup_opts.unit_deadline_ms = opts.unit_deadline_ms;
-      sup_opts.backoff.seed = opts.retry_seed;
-      sup_opts.checkpoint_path = opts.checkpoint_path;
-      sup_opts.resume = opts.resume;
-      sup_opts.cancel = &g_shutdown;
-      sup_opts.io_env = opts.io_env;
-      auto supervised = exec::RunSupervisedPipeline(
-          loaded->source, loaded->target, loaded->correspondences, sup_opts,
-          run_ctx);
-      if (!supervised.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     supervised.status().ToString().c_str());
-        return 1;
-      }
-      if (!supervised->journal_warning.empty()) {
-        std::fprintf(stderr, "warning: %s\n",
-                     supervised->journal_warning.c_str());
-      }
-      size_t resumed = 0;
-      for (const exec::UnitReport& u : supervised->units) {
-        if (u.from_checkpoint) ++resumed;
-      }
-      supervisor_summary = "supervisor: " +
-                           std::to_string(supervised->units.size()) +
-                           " unit(s), " +
-                           std::to_string(supervised->retries) +
-                           " retry(ies), " + std::to_string(resumed) +
-                           " resumed from checkpoint\n";
-      if (supervised->breaker_tripped) {
-        supervisor_summary += "supervisor: circuit breaker tripped\n";
-      }
-      interrupted = supervised->interrupted;
-      if (interrupted) {
-        supervisor_summary +=
-            "supervisor: run interrupted by a shutdown signal; finished "
-            "tables are checkpointed" +
-            std::string(opts.checkpoint_path.empty()
-                            ? " (no --checkpoint journal was configured)"
-                            : ", rerun with --resume to continue") +
-            "\n";
-        if (ctx.events != nullptr) {
-          ctx.events->Emit("run_interrupted",
-                           obs::WideEvent()
-                               .Int("signal", g_shutdown_signal.load())
-                               .Bool("checkpointed",
-                                     !opts.checkpoint_path.empty()));
-        }
-      }
-      run = std::move(supervised->run);
-    } else {
-      auto serial =
-          exec::RunResilientPipeline(loaded->source, loaded->target,
-                                     loaded->correspondences, pipeline_opts,
-                                     run_ctx);
-      if (!serial.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     serial.status().ToString().c_str());
-        return 1;
-      }
-      run = std::move(*serial);
+    auto result =
+        exec::RunResilientPipeline(loaded->source, loaded->target,
+                                   loaded->correspondences, pipeline_opts,
+                                   run_ctx);
+    if (!result.ok()) {
+      std::fprintf(stderr, "error: %s\n", result.status().ToString().c_str());
+      return 1;
+    }
+    const exec::ResilientResult& run = *result;
+    if (!run.journal_warning.empty()) {
+      std::fprintf(stderr, "warning: %s\n", run.journal_warning.c_str());
+    }
+    if (run.interrupted && ctx.events != nullptr) {
+      ctx.events->Emit(
+          "run_interrupted",
+          obs::WideEvent()
+              .Int("signal", g_shutdown_signal.load())
+              .Bool("checkpointed", !opts.checkpoint_path.empty()));
     }
     std::printf("\n%zu mapping(s):\n", run.mappings.size());
     int index = 1;
@@ -324,10 +289,26 @@ int RunPipeline(char** argv, const Options& opts, const exec::RunContext& ctx) {
       std::printf("%s\n", sink.diagnostics()[i].ToString().c_str());
     }
     std::printf("\n%s", run.report.ToString().c_str());
-    if (!supervisor_summary.empty()) {
-      std::printf("%s", supervisor_summary.c_str());
+    if (opts.supervised) {
+      size_t resumed = 0;
+      for (const exec::UnitReport& u : run.units) {
+        if (u.from_checkpoint) ++resumed;
+      }
+      std::printf("supervisor: %zu unit(s), %zu retry(ies), %zu resumed from "
+                  "checkpoint\n",
+                  run.units.size(), run.retries, resumed);
+      if (run.breaker_tripped) {
+        std::printf("supervisor: circuit breaker tripped\n");
+      }
+      if (run.interrupted) {
+        std::printf("supervisor: run interrupted by a shutdown signal; "
+                    "finished tables are checkpointed%s\n",
+                    opts.checkpoint_path.empty()
+                        ? " (no --checkpoint journal was configured)"
+                        : ", rerun with --resume to continue");
+      }
     }
-    if (interrupted) return 4;
+    if (run.interrupted) return 4;
     return run.report.AnyAtBaselineOrWorse() || sink.has_errors() ? 3 : 0;
   }
 
@@ -524,9 +505,10 @@ int main(int argc, char** argv) {
   }
   if (opts.supervised) opts.resilient = true;
 
-  // Graceful shutdown is a supervised-run feature (the serial path keeps
-  // the default die-on-signal behavior): the first SIGINT/SIGTERM stops
-  // dispatch and flushes the checkpoint journal, the second exits hard.
+  // Graceful shutdown comes with the supervision flags (plain --resilient
+  // keeps the default die-on-signal behavior): the first SIGINT/SIGTERM
+  // stops dispatch and flushes the checkpoint journal, the second exits
+  // hard.
   if (opts.supervised) {
     std::signal(SIGINT, OnShutdownSignal);
     std::signal(SIGTERM, OnShutdownSignal);
